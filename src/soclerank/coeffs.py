@@ -21,6 +21,7 @@ from .partitions import (
     enumerate_set_partitions,
     merge,
     partition,
+    refinement_sum,
     restrict,
 )
 from .socle import mu_dprime, theta
@@ -68,18 +69,15 @@ def m_form(lam):
 
 @lru_cache(maxsize=None)
 def _m_form(lam):
+    # the refining maps onto lam come in orbits of aut(lam) under permuting
+    # equal parts of lam, each orbit one set partition of pi with block sums lam
     aut = automorphism_count(lam)
+    targets = tuple((part, None) for part in lam)
+    return tabulate(sum(lam), lambda pi: refinement_sum(targets, pi, _pure_weight) // aut)
 
-    def value(pi):
-        total = 0
-        for phi in enumerate_refining_functions(lam, pi):
-            prod = 1
-            for j in range(len(lam)):
-                prod *= theta(restrict(pi, _preimage(phi, j)))
-            total += prod
-        return _plain(Fraction(total, aut))
 
-    return tabulate(sum(lam), value)
+def _pure_weight(block, _):
+    return theta(block)
 
 
 def _preimage(phi, j):
@@ -108,26 +106,19 @@ def v_form(data, d):
         raise ValueError("remainders sum to %d, expected %d"
                          % (sum(m for m, _, _ in triples), d))
     constant = 1
-    active = []
+    targets = []
     for m, kap, psi in triples:
         if m == 0:
             constant *= theta(kap, psi)
         else:
-            active.append((m, kap, psi))
-    active.sort(key=lambda t: t[0], reverse=True)
-    gamma = tuple(m for m, _, _ in active)
+            targets.append((m, (kap, psi)))
+    targets = tuple(sorted(targets, reverse=True))
+    return tabulate(d, lambda pi: constant * refinement_sum(targets, pi, _vertex_weight))
 
-    def value(pi):
-        total = 0
-        for phi in enumerate_refining_functions(gamma, pi):
-            prod = constant
-            for j, (_, kap, psi) in enumerate(active):
-                block = restrict(pi, _preimage(phi, j))
-                prod *= theta(partition(block + kap), psi)
-            total += prod
-        return total
 
-    return tabulate(d, value)
+def _vertex_weight(block, decoration):
+    kap, psi = decoration
+    return theta(partition(block + kap), psi)
 
 
 def c_expansion(form):

@@ -8,9 +8,40 @@ sorted; this makes every set partition hashable and order-deterministic.
 A refining function from ``source`` into ``target`` is a tuple ``phi``
 of length ``len(source)`` with ``phi[j]`` a target index, such that each
 target part equals the sum of the source parts mapped onto it.
+
+``set_partition_totals`` and ``refinement_sum`` sum over set partitions
+and refining maps without listing them: a summand that depends only on
+block contents is the same for parts of equal value, so one dynamic
+program over part multiplicities (the exponential formula for multiset
+partitions) replaces the Bell-number and factorial enumerations.
+``enumerate_set_partitions`` and ``enumerate_refining_functions`` stay
+as the slow references.
 """
 
+import os
+import sys
 from functools import lru_cache
+from math import comb, inf
+
+
+def _memo_size():
+    # SOCLERANK_CACHE_SIZE bounds the memos of the summation kernel and of
+    # the scalar evaluations; unset or nonpositive means unbounded.  It is
+    # read at import, before any command line handling, so a bad value
+    # ends the process here.
+    raw = os.environ.get("SOCLERANK_CACHE_SIZE")
+    if raw is None:
+        return None
+    try:
+        size = int(raw)
+    except ValueError:
+        print("error: SOCLERANK_CACHE_SIZE must be an integer, got %r" % raw,
+              file=sys.stderr)
+        raise SystemExit(2)
+    return size if size > 0 else None
+
+
+MEMO_SIZE = _memo_size()
 
 
 def partition(parts):
@@ -106,6 +137,125 @@ def enumerate_refining_functions(target, source):
 
     assign(0)
     return tuple(out)
+
+
+def set_partition_totals(classes, weight, caps=None):
+    """Weighted sum over the set partitions of a multiset, by block count.
+
+    The parts of the partitions in ``classes`` form the multiset; parts
+    are told apart by position, so equal parts still give distinct set
+    partitions.  ``weight(block)`` maps the partition of a block's values
+    to a pair (slots, factor).  The result maps (k, a) to the sum, over
+    the set partitions into k blocks whose slots add up to a, of the
+    product of the block factors times the multinomial coefficient of a
+    over the block slots.  ``caps`` gives per class the most parts of
+    that class one block may hold, None for no limit.  ``weight`` must be
+    hashable, since it keys the memo.
+    """
+    classes = tuple(partition(c) for c in classes)
+    caps = (None,) * len(classes) if caps is None else tuple(caps)
+    if len(caps) != len(classes):
+        raise ValueError("need one cap per class")
+    return dict(_free(weight, caps, _kinds(classes)))  # the memo keeps its own
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _free(weight, caps, kinds):
+    if not kinds:
+        return {(0, 0): 1}
+    # the block holding one part of the first kind, with any pick of the rest
+    cls, value, count = kinds[0]
+    rest = ((cls, value, count - 1),) + kinds[1:]
+    room = [inf if c is None else c for c in caps]
+    room[cls] -= 1
+    totals = {}
+    for taken, ways in _picks(rest, room, None):
+        slots, factor = weight(_block(kinds, (taken[0] + 1,) + taken[1:]))
+        scale = ways * factor
+        for (k, a), inner in _free(weight, caps, _left(rest, taken)).items():
+            key = (k + 1, a + slots)
+            totals[key] = totals.get(key, 0) + scale * comb(a + slots, slots) * inner
+    return totals
+
+
+def refinement_sum(targets, source, weight):
+    """Sum over the refining maps of ``source`` onto ``targets`` of block weight products.
+
+    ``targets`` lists (part, data) pairs.  A refining map sends each part
+    of the partition ``source`` to a target so that the parts sent to a
+    target add up to it, and contributes the product over targets of
+    ``weight(block, data)``, with block the partition of the parts sent
+    there.  Source parts are told apart by position.  ``weight`` and
+    every ``data`` must be hashable, since they key the memo.
+    """
+    source = partition(source)
+    targets = tuple(targets)
+    if sum(part for part, _ in targets) != sum(source):
+        return 0
+    return _matched(weight, targets, _kinds((source,)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _matched(weight, targets, kinds):
+    if not targets:
+        return 1  # equal totals: nothing is left over
+    (part, data), later = targets[0], targets[1:]
+    total = 0
+    for taken, ways in _picks(kinds, [inf], part):
+        inner = _matched(weight, later, _left(kinds, taken))
+        if inner:
+            total += ways * weight(_block(kinds, taken), data) * inner
+    return total
+
+
+def _kinds(classes):
+    # the multiset as (class, value, multiplicity) triples, larger values first
+    return tuple(
+        (cls, v, parts.count(v))
+        for cls, parts in enumerate(classes)
+        for v in sorted(set(parts), reverse=True)
+    )
+
+
+def _picks(kinds, room, need):
+    """Every sub-multiset of ``kinds`` with its number of labeled choices.
+
+    Returns (count taken per kind, product of binomials) pairs.  ``room``
+    caps per class how many parts the pick may take; ``need`` fixes the
+    value sum of the pick, or is None for any sum.
+    """
+    out = []
+    taken = [0] * len(kinds)
+
+    def rec(i, ways, need):
+        if i == len(kinds):
+            if not need:
+                out.append((tuple(taken), ways))
+            return
+        cls, value, count = kinds[i]
+        top = min(count, room[cls])
+        if need is not None:
+            top = min(top, need // value)
+        for c in range(top + 1):
+            taken[i] = c
+            room[cls] -= c
+            rec(i + 1, ways * comb(count, c), None if need is None else need - c * value)
+            room[cls] += c
+        taken[i] = 0
+
+    rec(0, 1, need)
+    return out
+
+
+def _block(kinds, taken):
+    values = []
+    for (_, value, _), c in zip(kinds, taken):
+        values += [value] * c
+    return tuple(sorted(values, reverse=True))
+
+
+def _left(kinds, taken):
+    return tuple((cls, v, n - c) for (cls, v, n), c in zip(kinds, taken) if n > c)
 
 
 def merge(sigma, blocks):

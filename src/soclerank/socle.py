@@ -11,31 +11,18 @@ with its two partially-separated variants; the three are related by
 inclusion-exclusion over merges of the kappa indices.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import double_factorial, factorial, multinomial
 from .partitions import (
+    MEMO_SIZE,
     enumerate_set_partitions,
     merge,
     partition,
-    separates,
+    set_partition_totals,
 )
-
-
-def _memo_size():
-    # SOCLERANK_CACHE_SIZE bounds the shared evaluation caches; unset or
-    # nonpositive means unbounded
-    raw = os.environ.get("SOCLERANK_CACHE_SIZE")
-    if raw is None:
-        return None
-    size = int(raw)
-    return size if size > 0 else None
-
-
-_MEMO_SIZE = _memo_size()
 
 
 @dataclass(frozen=True)
@@ -114,58 +101,53 @@ def theta(sigma, tau=()):
     return _theta(partition(sigma), partition(tau))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _theta(sigma, tau):
-    ell = len(sigma)
-    size = sum(sigma) + sum(tau)
+    # a block with part sum s_B fills s_B + 1 slots, so k blocks fill
+    # |sigma| + k; spreading those and the psi parts over |sigma| + k + |tau|
+    # gives the summand multinomial(|sigma| + |tau| + k; s_B + 1, ..., tau)
     total = 0
-    for blocks in enumerate_set_partitions(range(ell)):
-        merged = [sum(sigma[i] for i in b) + 1 for b in blocks]
-        term = multinomial(size + len(blocks), merged + list(tau))
-        total += term if (len(blocks) + ell) % 2 == 0 else -term
+    for (k, slots), count in set_partition_totals((sigma,), _theta_slots).items():
+        term = count * multinomial(slots + sum(tau), (slots,) + tau)
+        total += term if (k + len(sigma)) % 2 == 0 else -term
     return total
 
 
+def _theta_slots(block):
+    return sum(block) + 1, 1
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def _mu_sum(sigma, tau, separate_tau, separate_sigma):
-    sigma = partition(sigma)
-    tau = partition(tau)
-    s_idx = tuple(("s", i) for i in range(len(sigma)))
-    t_idx = tuple(("t", j) for j in range(len(tau)))
-    value = dict(zip(s_idx, sigma)) | dict(zip(t_idx, tau))
-    size = sum(sigma) + sum(tau)
-    base_sign = (-1) ** (len(sigma) + len(tau))
-    total = Fraction(0)
-    for blocks in enumerate_set_partitions(s_idx + t_idx):
-        if separate_tau and not separates(blocks, t_idx):
-            continue
-        if separate_sigma and not separates(blocks, s_idx):
-            continue
-        den = 1
-        for b in blocks:
-            den *= double_factorial(2 * sum(value[i] for i in b) + 1)
-        term = Fraction(factorial(2 * size + 1 + len(blocks)), den)
-        total += base_sign * (-1) ** len(blocks) * term
+    # the summand (2|sigma| + 2|tau| + k + 1)! / prod (2 s_B + 1)!! is an
+    # integer: a block with part sum s_B fills 2 s_B + 1 slots, and
+    # (2 s_B + 1)! / (2 s_B + 1)!! = (2 s_B)!!
+    caps = (1 if separate_sigma else None, 1 if separate_tau else None)
+    total = 0
+    for (k, slots), count in set_partition_totals((sigma, tau), _mu_slots, caps).items():
+        term = (slots + 1) * count
+        total += term if (k + len(sigma) + len(tau)) % 2 == 0 else -term
     return total
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _mu_cached(sigma, tau, separate_tau, separate_sigma):
-    return _mu_sum(sigma, tau, separate_tau, separate_sigma)
+def _mu_slots(block):
+    s = sum(block)
+    return 2 * s + 1, double_factorial(2 * s)
 
 
 def mu(sigma, tau=()):
     """Smooth-locus evaluation of kappa_sigma * kappa_tau, normalized."""
-    return _mu_cached(partition(sigma), partition(tau), False, False)
+    return _mu_sum(partition(sigma), partition(tau), False, False)
 
 
 def mu_prime(sigma, tau=()):
     """Variant of ``mu`` whose sum keeps only set partitions separating the tau indices."""
-    return _mu_cached(partition(sigma), partition(tau), True, False)
+    return _mu_sum(partition(sigma), partition(tau), True, False)
 
 
 def mu_dprime(sigma, tau=()):
     """Variant of ``mu`` separating both the tau indices and the sigma indices."""
-    return _mu_cached(partition(sigma), partition(tau), True, True)
+    return _mu_sum(partition(sigma), partition(tau), True, True)
 
 
 def mu_from_mu_prime(sigma, tau):

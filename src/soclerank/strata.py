@@ -19,7 +19,6 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .partitions import enumerate_partitions, partition
-from .socle import theta
 
 
 def _min_genus(valence):
@@ -261,9 +260,9 @@ def enumerate_boundary_generators(g, d):
     remains; a vertex of socle dimension m may carry kappa and psi
     partitions of total size at most m (negative remainders are
     skipped), psi length bounded by the valence.  Vertices with
-    remainder zero are dropped after their constant theta factor is
-    checked to be nonzero.  Output is deduplicated and canonically
-    sorted.
+    remainder zero are dropped: they only scale the row by their theta
+    value, a positive word count, which leaves the row span unchanged.
+    Output is deduplicated and canonically sorted.
     """
     _check_gd(g, d)
     found = set()
@@ -273,9 +272,7 @@ def enumerate_boundary_generators(g, d):
             for genera in _genus_assignments(degrees, g):
                 dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
                 for decor in _decoration_assignments(dims, degrees, k):
-                    data = _reduce(dims, decor)
-                    if data is not None:
-                        found.add(data)
+                    found.add(_reduce(dims, decor))
     return tuple(sorted(found))
 
 
@@ -283,10 +280,7 @@ def _reduce(dims, decor):
     triples = []
     for dim, (kap, psi) in zip(dims, decor):
         remainder = dim - sum(kap) - sum(psi)
-        if remainder == 0:
-            if theta(kap, psi) == 0:
-                return None  # cannot happen (theta >= 1), kept for honesty
-        else:
+        if remainder:
             triples.append((remainder, kap, psi))
     return tuple(sorted(triples, reverse=True))
 
@@ -335,9 +329,7 @@ def boundary_generators_via_labeled_trees(g, d):
             for genera in _genus_compositions(valence, g):
                 dims = [2 * gv - 3 + nv for gv, nv in zip(genera, valence)]
                 for decor in _decoration_assignments(dims, valence, k):
-                    data = _reduce(dims, decor)
-                    if data is not None:
-                        found.add(data)
+                    found.add(_reduce(dims, decor))
     return tuple(sorted(found))
 
 

@@ -57,8 +57,7 @@ def _report(capsys, index, description, failures):
 
 def test_criterion_1_housing_rank_grid(capsys):
     failures = []
-    cells = [(g, d) for g in range(2, 6) for d in range(0, 2 * g - 3)]
-    cells += [(6, 6), (6, 7), (6, 8)]
+    cells = [(g, d) for g in range(2, 8) for d in range(0, 2 * g - 3)]
     for g, d in cells:
         report = verify_housing_theorem(g, d)
         if not report["ok"]:
@@ -70,7 +69,7 @@ def test_criterion_1_housing_rank_grid(capsys):
 
 def test_criterion_2_rank_additivity_grid(capsys):
     failures = []
-    for g in range(2, 6):
+    for g in range(2, 8):
         for r in range(0, g - 1):
             report = verify_rank_theorem(g, r)
             if not report["ok"]:
@@ -150,12 +149,12 @@ def test_criterion_5_identity_pipeline(capsys):
                         failures.append(("reassemble-mu", sigma, tau))
                     if mu_prime(sigma, tau) != mu_prime_from_mu_dprime(sigma, tau):
                         failures.append(("reassemble-mu-prime", sigma, tau))
-    for g in range(2, 6):
+    for g in range(2, 8):
         for r in range(0, g - 1):
             for sigma in enumerate_partitions(g - 2 - r, r + 1):
                 if not verify_triangular_identity(sigma, g, r):
                     failures.append(("triangular", sigma, g, r))
-    for g in range(2, 7):
+    for g in range(2, 8):
         for r in range(0, g - 1):
             if not verify_span_equality(g, r)["ok"]:
                 failures.append(("span", g, r))

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import soclerank
 import soclerank.cli as cli
 
 
@@ -230,3 +234,18 @@ def test_domain_errors_exit_two(capsys):
     code, _, err = run(capsys, ["verify", "housing", "--g", "3", "--d", "3"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_bad_cache_size_exits_two():
+    # the variable is read at import, so only a fresh interpreter sees it
+    env = dict(os.environ, SOCLERANK_CACHE_SIZE="abc",
+               PYTHONPATH=os.path.dirname(os.path.dirname(soclerank.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "soclerank.cli", "verify", "rank", "--g", "3", "--r", "0"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: SOCLERANK_CACHE_SIZE must be an integer, got 'abc'"
+    ]

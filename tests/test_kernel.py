@@ -1,0 +1,209 @@
+"""The multiplicity kernel against the enumerations it replaces.
+
+Every fast sum in ``socle`` and ``coeffs`` is compared exactly with the
+direct sum over ``enumerate_set_partitions`` or
+``enumerate_refining_functions``, first on full small grids and then on
+random partitions drawn by Hypothesis.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soclerank.coeffs import m_form, v_form
+from soclerank.exact import double_factorial, factorial, multinomial
+from soclerank.partitions import (
+    automorphism_count,
+    enumerate_partitions,
+    enumerate_refining_functions,
+    enumerate_set_partitions,
+    partition,
+    refinement_sum,
+    restrict,
+    separates,
+    set_partition_totals,
+)
+from soclerank.socle import mu, mu_dprime, mu_prime, theta
+from soclerank.strata import enumerate_boundary_generators
+
+
+def theta_reference(sigma, tau):
+    size = sum(sigma) + sum(tau)
+    total = 0
+    for blocks in enumerate_set_partitions(range(len(sigma))):
+        merged = [sum(sigma[i] for i in b) + 1 for b in blocks]
+        term = multinomial(size + len(blocks), merged + list(tau))
+        total += term if (len(blocks) + len(sigma)) % 2 == 0 else -term
+    return total
+
+
+def mu_references(sigma, tau):
+    """(mu, mu_prime, mu_dprime) by one pass over the set partitions of all indices."""
+    values = sigma + tau
+    ns = len(sigma)  # indices below ns are sigma parts, the rest tau parts
+    size = sum(values)
+    sums = [0, 0, 0]
+    for blocks in enumerate_set_partitions(range(len(values))):
+        den = 1
+        for b in blocks:
+            den *= double_factorial(2 * sum(values[i] for i in b) + 1)
+        term, rest = divmod(factorial(2 * size + 1 + len(blocks)), den)
+        assert rest == 0, (sigma, tau, blocks)
+        if (len(values) + len(blocks)) % 2:
+            term = -term
+        sums[0] += term
+        # blocks are sorted tuples: at most one tau index means the second
+        # largest index is a sigma index, at most one sigma index that the
+        # second smallest is a tau index
+        if all(len(b) < 2 or b[-2] < ns for b in blocks):
+            sums[1] += term
+            if all(len(b) < 2 or b[1] >= ns for b in blocks):
+                sums[2] += term
+    return tuple(sums)
+
+
+def refinement_reference(targets, pi, weight):
+    """Sum over the refining maps of pi onto the target parts, by enumeration."""
+    total = 0
+    for phi in enumerate_refining_functions([part for part, _ in targets], pi):
+        prod = 1
+        for j, (_, data) in enumerate(targets):
+            prod *= weight(restrict(pi, [i for i, t in enumerate(phi) if t == j]), data)
+        total += prod
+    return total
+
+
+def m_form_reference(lam, pi):
+    targets = [(part, None) for part in lam]
+    return Fraction(refinement_reference(targets, pi, lambda b, _: theta(b)),
+                    automorphism_count(lam))
+
+
+def v_form_reference(data, pi):
+    constant = 1
+    targets = []
+    for m, kap, psi in data:
+        if m == 0:
+            constant *= theta(kap, psi)
+        else:
+            targets.append((m, (kap, psi)))
+    return constant * refinement_reference(
+        targets, pi, lambda b, dec: theta(partition(b + dec[0]), dec[1]))
+
+
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _unit(block):
+    return 0, 1
+
+
+def test_set_partition_totals_counts_set_partitions():
+    # with no slots and unit factors the totals count set partitions by size
+    for n in range(0, 9):
+        totals = set_partition_totals(((1,) * n,), _unit)
+        assert totals == {(k, 0): _stirling2(n, k) for k in range(0, n + 1)
+                          if _stirling2(n, k)}
+    for sigma in ((3, 2, 2, 1), (2, 2, 2), (4, 1, 1, 1, 1)):
+        for tau in ((), (1,), (2, 1, 1)):
+            for caps in ((None, None), (None, 1), (1, 1)):
+                ground = range(len(sigma) + len(tau))
+                sigma_idx = range(len(sigma))
+                tau_idx = range(len(sigma), len(ground))
+                expected = Counter(
+                    (len(blocks), 0)
+                    for blocks in enumerate_set_partitions(ground)
+                    if (caps[0] is None or separates(blocks, sigma_idx))
+                    and (caps[1] is None or separates(blocks, tau_idx))
+                )
+                assert set_partition_totals((sigma, tau), _unit, caps) == expected
+
+
+def _unit_target(block, data):
+    return 1
+
+
+def test_refinement_sum_counts_refining_maps():
+    for n in range(0, 8):
+        for source in enumerate_partitions(n):
+            for target in enumerate_partitions(n):
+                targets = tuple((part, None) for part in target)
+                assert refinement_sum(targets, source, _unit_target) == len(
+                    enumerate_refining_functions(target, source))
+    assert refinement_sum(((3, None),), (2,), _unit_target) == 0
+
+
+def test_theta_matches_set_partition_sum():
+    taus = [tau for t in range(0, 5) for tau in enumerate_partitions(t)]
+    for s in range(0, 9):
+        for sigma in enumerate_partitions(s):
+            for tau in taus:
+                assert theta(sigma, tau) == theta_reference(sigma, tau), (sigma, tau)
+
+
+def test_mu_family_matches_set_partition_sum():
+    # the direct sum runs over Bell(len(sigma) + len(tau)) set partitions,
+    # so the 17 of the 804 pairs with more than 9 indices (up to Bell(12),
+    # 4.2 million partitions) are left out
+    taus = [tau for t in range(0, 5) for tau in enumerate_partitions(t)]
+    for s in range(0, 9):
+        for sigma in enumerate_partitions(s):
+            for tau in taus:
+                if len(sigma) + len(tau) > 9:
+                    continue
+                expected = mu_references(sigma, tau)
+                assert (mu(sigma, tau), mu_prime(sigma, tau),
+                        mu_dprime(sigma, tau)) == expected, (sigma, tau)
+
+
+def test_m_form_matches_refining_map_sum():
+    for n in range(0, 9):
+        for lam in enumerate_partitions(n):
+            form = m_form(lam)
+            for pi in enumerate_partitions(n):
+                assert form(pi) == m_form_reference(lam, pi), (lam, pi)
+
+
+def test_v_form_matches_refining_map_sum():
+    for g in range(2, 6):
+        for d in range(0, 2 * g - 2):
+            for data in enumerate_boundary_generators(g, d):
+                form = v_form(data, d)
+                for pi in enumerate_partitions(d):
+                    assert form(pi) == v_form_reference(data, pi), (g, d, data, pi)
+
+
+def _partitions(largest, max_len):
+    return st.lists(st.integers(1, largest), max_size=max_len).map(partition)
+
+
+_vertices = st.tuples(st.integers(0, 4), _partitions(2, 2), _partitions(2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma=_partitions(3, 6),
+    tau=_partitions(3, 3),
+    data=st.lists(_vertices, max_size=3).filter(lambda v: sum(m for m, _, _ in v) <= 7),
+    lam_index=st.integers(0, 10**6),
+)
+def test_kernel_matches_enumeration_on_random_partitions(sigma, tau, data, lam_index):
+    assert theta(sigma, tau) == theta_reference(sigma, tau)
+    assert (mu(sigma, tau), mu_prime(sigma, tau), mu_dprime(sigma, tau)) == mu_references(
+        sigma, tau)
+    n = sum(sigma)
+    if n <= 9:
+        candidates = enumerate_partitions(n)
+        lam = candidates[lam_index % len(candidates)]
+        assert m_form(lam)(sigma) == m_form_reference(lam, sigma)
+    d = sum(m for m, _, _ in data)
+    form = v_form(data, d)
+    for pi in enumerate_partitions(d):
+        assert form(pi) == v_form_reference(data, pi)

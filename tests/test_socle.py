@@ -73,9 +73,9 @@ def test_theta_pure_psi_is_multinomial():
 
 
 def test_theta_positive():
-    for s in range(0, 6):
+    for s in range(0, 11):
         for sigma in enumerate_partitions(s):
-            for t in range(0, 6 - s):
+            for t in range(0, 11 - s):
                 for tau in enumerate_partitions(t):
                     assert theta(sigma, tau) >= 1
 
