@@ -14,38 +14,16 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracles
 from .coeffs import c_coefficient
 from .exact import format_scalar
 from .ranks import betti_report, verify_housing_theorem, verify_rank_theorem
-from .socle import mu, mu_dprime, mu_prime, theta
+from .socle import ModuliContext, mu, mu_dprime, mu_prime, theta
 from .strata import enumerate_boundary_generators, enumerate_pure_housing_partitions
 
 FORMATS = ("pretty", "json", "csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the dispatch helpers."""
-
-    command: str
-    fmt: str
-    g: int = None
-    d: int = None
-    r: int = None
-    jobs: int = None
-
-    def __post_init__(self):
-        # r and d are complementary degrees whenever both are given
-        if self.g is not None and self.d is not None and self.r is not None:
-            if self.d + self.r != 2 * self.g - 3:
-                raise ValueError(
-                    "expected d + r = 2g-3, got %d + %d with g = %d"
-                    % (self.d, self.r, self.g)
-                )
 
 
 def _partition_arg(text):
@@ -313,14 +291,14 @@ def _cmd_oracle(args):
 
 
 def _cmd_verify_housing(args):
-    RunConfig("verify housing", args.format, g=args.g, d=args.d, r=args.r)
+    ModuliContext(args.g, d=args.d, r=args.r)
     report = verify_housing_theorem(args.g, args.d)
     _emit_report(args.format, report)
     return 0 if report["ok"] else 1
 
 
 def _cmd_verify_rank(args):
-    RunConfig("verify rank", args.format, g=args.g, d=args.d, r=args.r)
+    ModuliContext(args.g, d=args.d, r=args.r)
     report = verify_rank_theorem(args.g, args.r)
     _emit_report(args.format, report)
     return 0 if report["ok"] else 1
@@ -336,6 +314,10 @@ def _verify_cell(cell):
 
 
 def _cmd_verify_all(args):
+    if args.max_g < 2:
+        raise ValueError("--max-g must be at least 2")
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     cells = []
     for g in range(2, args.max_g + 1):
         for d in range(0, 2 * g - 3):
@@ -343,7 +325,8 @@ def _cmd_verify_all(args):
         for r in range(0, g - 1):
             cells.append(("rank", g, r))
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    if jobs > 1 and len(cells) > 1:
+    jobs = min(jobs, len(cells))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_cell, cells))
     else:

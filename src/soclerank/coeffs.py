@@ -10,7 +10,6 @@ mu integrals from the socle module.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import double_factorial, factorial
@@ -52,13 +51,6 @@ def _position(d):
 
 def tabulate(d, func):
     return LinearForm(d, tuple(func(p) for p in enumerate_partitions(d)))
-
-
-def _plain(q):
-    # collapse integer-valued fractions so equality tests read naturally
-    if isinstance(q, Fraction) and q.denominator == 1:
-        return int(q)
-    return q
 
 
 def m_form(lam):
@@ -105,15 +97,21 @@ def v_form(data, d):
     if sum(m for m, _, _ in triples) != d:
         raise ValueError("remainders sum to %d, expected %d"
                          % (sum(m for m, _, _ in triples), d))
+    constant, targets = _split_vertices(triples)
+    return tabulate(d, lambda pi: constant * refinement_sum(targets, pi, _vertex_weight))
+
+
+def _split_vertices(data):
+    # a zero-remainder vertex only scales the row by its theta value; the
+    # others become (m, (kappa, psi)) targets, sorted
     constant = 1
     targets = []
-    for m, kap, psi in triples:
+    for m, kap, psi in data:
         if m == 0:
             constant *= theta(kap, psi)
         else:
             targets.append((m, (kap, psi)))
-    targets = tuple(sorted(targets, reverse=True))
-    return tabulate(d, lambda pi: constant * refinement_sum(targets, pi, _vertex_weight))
+    return constant, tuple(sorted(targets, reverse=True))
 
 
 def _vertex_weight(block, decoration):
@@ -134,7 +132,7 @@ def c_expansion(form):
         residual = form(lam)
         for prev, prevform in solved:
             residual -= coeffs[prev] * prevform(lam)
-        coeffs[lam] = _plain(residual)
+        coeffs[lam] = residual
         solved.append((lam, mlam))
     return coeffs
 
@@ -173,20 +171,12 @@ def c_chain(lam, gamma, kappas=None, psis=None):
     strictly coarsening chains, evaluated here by memoized recursion.
     """
     lam = partition(lam)
-    data = _stratum_data(gamma, kappas, psis)
-    constant = 1
-    active = []
-    for m, kap, psi in data:
-        if m == 0:
-            constant *= theta(kap, psi)
-        else:
-            active.append((m, kap, psi))
-    active.sort(key=lambda t: t[0], reverse=True)
-    parts = tuple(m for m, _, _ in active)
+    constant, targets = _split_vertices(_stratum_data(gamma, kappas, psis))
+    parts = tuple(m for m, _ in targets)
     total = 0
     for phi in enumerate_refining_functions(parts, lam):
         prod = constant
-        for j, (_, kap, psi) in enumerate(active):
+        for j, (_, (kap, psi)) in enumerate(targets):
             prod *= _chain_single(restrict(lam, _preimage(phi, j)), kap, psi)
         total += prod
     return total
@@ -215,7 +205,7 @@ def phi_inverse_transform(form):
         for blocks in enumerate_set_partitions(range(len(tau))):
             sign = -1 if (len(tau) + len(blocks)) % 2 else 1
             total += sign * form(merge(tau, blocks))
-        return _plain(total)
+        return total
 
     return tabulate(form.degree, value)
 
@@ -232,7 +222,7 @@ def phi_transform(form):
                 continue
             sign = -1 if (len(tau) + len(blocks)) % 2 else 1
             acc -= sign * out[merge(tau, blocks)]
-        out[tau] = _plain(acc)
+        out[tau] = acc
     return LinearForm(d, tuple(out[p] for p in enumerate_partitions(d)))
 
 
@@ -288,10 +278,10 @@ def _eta_dprime(sigma, g, r):
     k = factorial(r + 1 - len(sigma))
     vals = []
     for v in _eta_prime(sigma, g, r).values:
-        q = Fraction(v, k)
-        if q.denominator != 1:
+        q, rem = divmod(v, k)
+        if rem:
             raise ArithmeticError("eta_prime value %r not divisible by %d" % (v, k))
-        vals.append(int(q))
+        vals.append(q)
     return LinearForm(r, tuple(vals))
 
 
@@ -311,10 +301,10 @@ def block_factor(block, sigma):
     den = 1
     for j in block:
         den *= double_factorial(2 * sigma[j] + 1)
-    q = Fraction(num, den)
-    if q.denominator != 1:
+    q, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError("block factor is not an integer")
-    return int(q)
+    return q
 
 
 def verify_triangular_identity(sigma, g, r):

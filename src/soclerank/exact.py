@@ -22,9 +22,7 @@ def double_factorial(n):
     """n!! with the usual empty-product conventions (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError("double factorial undefined below -1, got %d" % n)
-    if n <= 0:
-        return 1
-    return n * double_factorial(n - 2)
+    return math.prod(range(n, 0, -2))
 
 
 def multinomial(top, parts):

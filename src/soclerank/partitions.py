@@ -18,30 +18,8 @@ partitions) replaces the Bell-number and factorial enumerations.
 as the slow references.
 """
 
-import os
-import sys
 from functools import lru_cache
 from math import comb, inf
-
-
-def _memo_size():
-    # SOCLERANK_CACHE_SIZE bounds the memos of the summation kernel and of
-    # the scalar evaluations; unset or nonpositive means unbounded.  It is
-    # read at import, before any command line handling, so a bad value
-    # ends the process here.
-    raw = os.environ.get("SOCLERANK_CACHE_SIZE")
-    if raw is None:
-        return None
-    try:
-        size = int(raw)
-    except ValueError:
-        print("error: SOCLERANK_CACHE_SIZE must be an integer, got %r" % raw,
-              file=sys.stderr)
-        raise SystemExit(2)
-    return size if size > 0 else None
-
-
-MEMO_SIZE = _memo_size()
 
 
 def partition(parts):
@@ -159,7 +137,7 @@ def set_partition_totals(classes, weight, caps=None):
     return dict(_free(weight, caps, _kinds(classes)))  # the memo keeps its own
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _free(weight, caps, kinds):
     if not kinds:
         return {(0, 0): 1}
@@ -195,7 +173,7 @@ def refinement_sum(targets, source, weight):
     return _matched(weight, targets, _kinds((source,)))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _matched(weight, targets, kinds):
     if not targets:
         return 1  # equal totals: nothing is left over

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from .exact import double_factorial, factorial, multinomial
 from .partitions import (
-    MEMO_SIZE,
     enumerate_set_partitions,
     merge,
     partition,
@@ -47,9 +46,11 @@ class ModuliContext:
             r = 2 * self.g - 3 - d
         if d is not None:
             if not 0 <= d <= 2 * self.g - 3:
-                raise ValueError("degree %d out of range for genus %d" % (d, self.g))
+                raise ValueError("degrees d = %d, r = %d out of range for genus %d"
+                                 % (d, r, self.g))
             if r + d != 2 * self.g - 3:
-                raise ValueError("degrees %d + %d must sum to %d" % (d, r, 2 * self.g - 3))
+                raise ValueError("expected d + r = 2g-3, got %d + %d with g = %d"
+                                 % (d, r, self.g))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "r", r)
 
@@ -101,7 +102,7 @@ def theta(sigma, tau=()):
     return _theta(partition(sigma), partition(tau))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _theta(sigma, tau):
     # a block with part sum s_B fills s_B + 1 slots, so k blocks fill
     # |sigma| + k; spreading those and the psi parts over |sigma| + k + |tau|
@@ -117,7 +118,7 @@ def _theta_slots(block):
     return sum(block) + 1, 1
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _mu_sum(sigma, tau, separate_tau, separate_sigma):
     # the summand (2|sigma| + 2|tau| + k + 1)! / prod (2 s_B + 1)!! is an
     # integer: a block with part sum s_B fills 2 s_B + 1 slots, and
@@ -154,7 +155,7 @@ def mu_from_mu_prime(sigma, tau):
     """Reassemble mu(sigma, tau) from mu_prime by merging tau indices."""
     sigma = partition(sigma)
     tau = partition(tau)
-    total = Fraction(0)
+    total = 0
     for blocks in enumerate_set_partitions(range(len(tau))):
         sign = (-1) ** (len(tau) + len(blocks))
         total += sign * mu_prime(sigma, merge(tau, blocks))
@@ -165,7 +166,7 @@ def mu_prime_from_mu_dprime(sigma, tau):
     """Reassemble mu_prime(sigma, tau) from mu_dprime by merging sigma indices."""
     sigma = partition(sigma)
     tau = partition(tau)
-    total = Fraction(0)
+    total = 0
     for blocks in enumerate_set_partitions(range(len(sigma))):
         sign = (-1) ** (len(sigma) + len(blocks))
         total += sign * mu_dprime(merge(sigma, blocks), tau)

@@ -19,6 +19,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .partitions import enumerate_partitions, partition
+from .socle import ModuliContext
 
 
 def _min_genus(valence):
@@ -205,11 +206,13 @@ def tree_degree_multisets(v):
     )
 
 
-def _genus_assignments(degrees, g):
-    """Genus tuples along a weakly decreasing degree multiset.
+def _genus_assignments(degrees, g, break_ties=True):
+    """Genus tuples along a degree sequence.
 
-    Stability per vertex, total genus g; within a run of equal degrees
-    the genera are forced weakly decreasing to skip permuted repeats.
+    Stability per vertex, total genus g.  With ``break_ties`` the degrees
+    must be weakly decreasing, and within a run of equal degrees the
+    genera are forced weakly decreasing to skip permuted repeats; without
+    it every composition is listed, as the labeled-tree route needs.
     """
     n = len(degrees)
     min_tail = [0] * (n + 1)
@@ -224,7 +227,7 @@ def _genus_assignments(degrees, g):
             return
         lo = _min_genus(degrees[i])
         hi = remaining - min_tail[i + 1]
-        if i > 0 and degrees[i] == degrees[i - 1]:
+        if break_ties and i > 0 and degrees[i] == degrees[i - 1]:
             hi = min(hi, acc[-1])
         for gi in range(lo, hi + 1):
             acc.append(gi)
@@ -243,7 +246,7 @@ def enumerate_pure_housing_partitions(g, d):
     The vertex count is 2g-2-d; when that is 1 (d = 2g-3) the single
     undecorated vertex itself is the only stratum.
     """
-    _check_gd(g, d)
+    ModuliContext(g, d=d)
     v = 2 * g - 2 - d
     found = set()
     for degrees in tree_degree_multisets(v):
@@ -264,7 +267,7 @@ def enumerate_boundary_generators(g, d):
     value, a positive word count, which leaves the row span unchanged.
     Output is deduplicated and canonically sorted.
     """
-    _check_gd(g, d)
+    ModuliContext(g, d=d)
     found = set()
     for k in range(0, 2 * g - 3 - d):
         v = 2 * g - 2 - d - k
@@ -317,7 +320,7 @@ def boundary_generators_via_labeled_trees(g, d):
     decoration assignments per vertex; must agree with
     enumerate_boundary_generators on small inputs.
     """
-    _check_gd(g, d)
+    ModuliContext(g, d=d)
     found = set()
     for k in range(0, 2 * g - 3 - d):
         v = 2 * g - 2 - d - k
@@ -326,36 +329,8 @@ def boundary_generators_via_labeled_trees(g, d):
             for a, b in edges:
                 valence[a] += 1
                 valence[b] += 1
-            for genera in _genus_compositions(valence, g):
+            for genera in _genus_assignments(valence, g, break_ties=False):
                 dims = [2 * gv - 3 + nv for gv, nv in zip(genera, valence)]
                 for decor in _decoration_assignments(dims, valence, k):
                     found.add(_reduce(dims, decor))
     return tuple(sorted(found))
-
-
-def _genus_compositions(valences, g):
-    n = len(valences)
-    min_tail = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        min_tail[i] = min_tail[i + 1] + _min_genus(valences[i])
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for gi in range(_min_genus(valences[i]), remaining - min_tail[i + 1] + 1):
-            acc.append(gi)
-            rec(i + 1, remaining - gi, acc)
-            acc.pop()
-
-    rec(0, g, [])
-    return out
-
-
-def _check_gd(g, d):
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    if not 0 <= d <= 2 * g - 3:
-        raise ValueError("degree %d out of range for genus %d" % (d, g))

@@ -1,13 +1,10 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
+import math
 
 import pytest
 
-import soclerank
 import soclerank.cli as cli
 
 
@@ -236,16 +233,44 @@ def test_domain_errors_exit_two(capsys):
     assert err.startswith("error:")
 
 
-def test_bad_cache_size_exits_two():
-    # the variable is read at import, so only a fresh interpreter sees it
-    env = dict(os.environ, SOCLERANK_CACHE_SIZE="abc",
-               PYTHONPATH=os.path.dirname(os.path.dirname(soclerank.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "soclerank.cli", "verify", "rank", "--g", "3", "--r", "0"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: SOCLERANK_CACHE_SIZE must be an integer, got 'abc'"
-    ]
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--max-g", "1"],
+    ["verify", "all", "--jobs", "0"],
+    ["verify", "all", "--jobs", "-3"],
+])
+def test_verify_all_bad_arguments_exit_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_verify_all_pool_no_larger_than_grid(capsys, monkeypatch):
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, cells):
+            return map(func, cells)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    # max-g 2 has two cells, one housing and one rank
+    code, _, _ = run(capsys, ["verify", "all", "--max-g", "2", "--jobs", "3"])
+    assert code == 0
+    assert sizes == [2]
+
+
+def test_mu_large_single_part(capsys):
+    # one block: mu((s,)) = (2s + 2)!!, far past the recursion limit for s = 1000
+    code, out, err = run(capsys, ["mu", "--sigma", "[1000]"])
+    assert code == 0
+    assert err == ""
+    assert out == "%d\n" % math.prod(range(2002, 0, -2))

@@ -161,6 +161,27 @@ def test_chain_matches_expansion_sampled():
         assert c_chain(lam, gamma, kappas, psis) == c_coefficient(
             lam, gamma, kappas, psis
         )
+    # zero remainders with a kappa/psi decoration, placed anywhere in gamma
+    rng = random.Random(31)
+    for _ in range(30):
+        d = rng.choice((4, 5, 6))
+        lam = rng.choice(enumerate_partitions(d))
+        slots = [
+            (m, rng.choice(enumerate_partitions(rng.randrange(0, 3))),
+             rng.choice(enumerate_partitions(rng.randrange(0, 2))))
+            for m in rng.choice(enumerate_partitions(d))
+        ]
+        for _zero in range(rng.randrange(1, 3)):
+            slots.insert(rng.randrange(len(slots) + 1), (
+                0, rng.choice(enumerate_partitions(rng.randrange(1, 3))),
+                rng.choice(enumerate_partitions(rng.randrange(0, 3))),
+            ))
+        gamma, kappas, psis = (tuple(col) for col in zip(*slots))
+        assert c_chain(lam, gamma, kappas, psis) == c_coefficient(
+            lam, gamma, kappas, psis
+        )
+    # theta((1,), (1, 1)) = 12 scales the one-vertex coefficient c_chain((3,), (3,)) = 1
+    assert c_chain((3,), (3, 0), ((), (1,)), ((), (1, 1))) == 12
 
 
 def test_phi_round_trips():

@@ -28,6 +28,8 @@ def test_factorial_and_double_factorial():
     assert double_factorial(8) == 384
     with pytest.raises(ValueError):
         double_factorial(-3)
+    # far past the recursion limit: (2n)!! = 2^n n!
+    assert double_factorial(4000) == 2 ** 2000 * factorial(2000)
 
 
 def test_multinomial():

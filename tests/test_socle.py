@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ def test_moduli_context():
         ModuliContext(1)
     with pytest.raises(ValueError):
         ModuliContext(3, d=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected d \\+ r = 2g-3, got 2 \\+ 2 with g = 3"):
         ModuliContext(3, d=2, r=2)
 
 
@@ -87,6 +88,8 @@ def test_mu_values():
     assert mu_prime((), (2,)) == 48
     assert mu_dprime((1, 1), ()) == 560
     assert mu_dprime((), (1,)) == 8
+    # one block: mu((s,)) = (2s + 2)!!
+    assert mu((1000,)) == math.prod(range(2002, 0, -2))
 
 
 def test_mu_family_relations():
