@@ -3,17 +3,17 @@
 Subcommands cover scalar evaluation (theta, mu), coefficient queries,
 stratum enumeration, the brute-force oracles, the verification grids,
 and the conjectural Betti report.  Output formats: pretty (default),
-json, csv.  Exit codes: 0 success, 1 at least one verification report
-not ok, 2 usage error.
+json, csv, all written by ``_emit`` one row at a time.  Exit codes:
+0 success, 1 at least one verification report not ok, 2 usage error.
 """
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import oracles
@@ -24,6 +24,20 @@ from .socle import ModuliContext, mu, mu_dprime, mu_prime, theta
 from .strata import enumerate_boundary_generators, enumerate_pure_housing_partitions
 
 FORMATS = ("pretty", "json", "csv")
+VERIFY_ALL_FIELDS = ["check", "g", "d", "r", "rank_pure", "rank_full", "formula",
+                     "rank_stacked", "rank_boundary", "rank_smooth", "ok"]
+BETTI_FIELDS = ["status", "g", "e", "d", "ambient_rank",
+                "gamma_conjectural", "delta_conjectural", "kernel_conjectural"]
+# oracle subcommand -> (counter, flags).  The flags are the counter's
+# arguments in order, before the symbol budget; the first is required.
+ORACLES = {
+    "lemma-tool": (oracles.count_lemma_tool, ("sigma", "tau", "order")),
+    "main-claim": (oracles.count_main_claim, ("lambda", "tau", "rho")),
+    "comb": (oracles.count_comb_linear_extensions, ("pi",)),
+    "a1": (oracles.count_a1, ("lambda", "tau")),
+    "a4": (oracles.count_a4, ("sigma", "tau", "r")),
+    "b2": (oracles.count_b2, ("sigma", "tau")),
+}
 
 
 def _partition_arg(text):
@@ -37,10 +51,7 @@ def _partition_arg(text):
         raise argparse.ArgumentTypeError("expected a JSON list of positive integers")
     ordered = sorted(data, reverse=True)
     if ordered != data:
-        print(
-            "warning: partition %s reordered to %s" % (data, ordered),
-            file=sys.stderr,
-        )
+        print("warning: partition %s reordered to %s" % (data, ordered), file=sys.stderr)
     return tuple(ordered)
 
 
@@ -66,25 +77,19 @@ def _order_arg(text):
     return tuple(data)
 
 
+def _dest(flag):
+    # --lambda parses into args.lam, as for coeff
+    return "lam" if flag == "lambda" else flag
+
+
 def _jsonable(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else format_scalar(x)
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_jsonable(v) for v in x]
     return x
-
-
-def _print_csv(rows, fieldnames):
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(row.get(k, "")) for k in fieldnames})
-    print(out.getvalue(), end="")
 
 
 def _csv_cell(v):
@@ -95,22 +100,58 @@ def _csv_cell(v):
     return v
 
 
-def _emit_scalar(fmt, payload, value):
-    if fmt == "json":
-        print(json.dumps(_jsonable(payload | {"value": value})))
-    elif fmt == "csv":
-        _print_csv([payload | {"value": value}], list(payload) + ["value"])
-    else:
-        print(format_scalar(value) if isinstance(value, (int, Fraction)) else value)
+def _emit(fmt, rows, fields, pretty):
+    """Write each row to stdout as it arrives, flush it, and return the rows.
+
+    json writes one object per row and pretty the text ``pretty(row)``.
+    csv writes the header of ``fields`` first, then one line per row, or
+    one per entry of the row's nested ``rows`` list when it has one.
+    Integers print in full, past Python's int-to-str digit limit.
+    """
+    # the int-to-str digit limit came with Python 3.10.7; 0 means no limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    writer = csv.DictWriter(sys.stdout, fields)
+    if fmt == "csv":
+        writer.writeheader()
+    written = []
+    try:
+        for row in rows:
+            if fmt == "json":
+                print(json.dumps(_jsonable(row)))
+            elif fmt == "csv":
+                for sub in row.get("rows", [{}]):
+                    writer.writerow({k: _csv_cell((row | sub).get(k, "")) for k in fields})
+            else:
+                print(pretty(row))
+            sys.stdout.flush()
+            written.append(row)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    return written
 
 
-def _emit_report(fmt, report):
-    if fmt == "json":
-        print(json.dumps(_jsonable(report)))
-    elif fmt == "csv":
-        _print_csv([report], list(report))
-    else:
-        print(" ".join("%s=%s" % (k, _csv_cell(v)) for k, v in report.items()))
+def _value(row):
+    return format_scalar(row["value"])
+
+
+def _pairs(report):
+    return " ".join("%s=%s" % (k, _csv_cell(v)) for k, v in report.items())
+
+
+def _coeff_lines(row):
+    oracle = "" if row["oracle"] is None else "\noracle %s" % format_scalar(row["oracle"])
+    return format_scalar(row["coefficient"]) + oracle
+
+
+def _betti_lines(report):
+    return "\n".join(["%(status)s kernel report, g=%(g)d" % report] + [
+        "  e=%(e)d d=%(d)d ambient=%(ambient_rank)d gamma=%(gamma_conjectural)d"
+        " delta=%(delta_conjectural)d kernel=%(kernel_conjectural)d" % row
+        for row in report["rows"]
+    ])
 
 
 def _parser():
@@ -123,15 +164,18 @@ def _parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theta", parents=[common], help="compact-type evaluation")
+    p.set_defaults(run=_cmd_theta)
     p.add_argument("--sigma", type=_partition_arg, required=True)
     p.add_argument("--tau", type=_partition_arg, default=())
 
     p = sub.add_parser("mu", parents=[common], help="smooth-locus evaluation")
+    p.set_defaults(run=_cmd_mu)
     p.add_argument("--sigma", type=_partition_arg, required=True)
     p.add_argument("--tau", type=_partition_arg, default=())
     p.add_argument("--variant", choices=("plain", "prime", "dprime"), default="plain")
 
     p = sub.add_parser("coeff", parents=[common], help="expansion coefficient")
+    p.set_defaults(run=_cmd_coeff)
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--gamma", type=_partition_arg, required=True)
     p.add_argument("--kappa", type=_partition_list_arg, default=None)
@@ -140,70 +184,65 @@ def _parser():
     p = sub.add_parser("strata", parents=[common], help="stratum enumeration")
     strata_sub = p.add_subparsers(dest="strata_command", required=True)
     q = strata_sub.add_parser("enumerate", parents=[common])
+    q.set_defaults(run=_cmd_strata)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--pure", action="store_true")
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force cross-checks")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
-    specs = {
-        "lemma-tool": (("--sigma", True), ("--tau", False), ("--order", False)),
-        "main-claim": (("--lambda", True), ("--tau", False), ("--rho", False)),
-        "comb": (("--pi", True),),
-        "a1": (("--lambda", True), ("--tau", False)),
-        "a4": (("--sigma", True), ("--tau", False), ("--r", False)),
-        "b2": (("--sigma", True), ("--tau", False)),
-    }
-    for name, flags in specs.items():
+    for name, (_, flags) in ORACLES.items():
         q = oracle_sub.add_parser(name, parents=[common])
-        for flag, required in flags:
-            if flag == "--order":
-                q.add_argument(flag, type=_order_arg, default=None)
-            elif flag == "--r":
-                q.add_argument(flag, type=int, default=None)
-            elif flag == "--lambda":
-                q.add_argument(flag, dest="lam", type=_partition_arg, required=required)
-            else:
-                q.add_argument(
-                    flag,
-                    type=_partition_arg,
-                    required=required,
-                    default=None if required else (),
-                )
+        q.set_defaults(run=_cmd_oracle)
+        for i, flag in enumerate(flags):
+            # --order and --r default to None, optional partitions to ()
+            kind = {"order": _order_arg, "r": int}.get(flag, _partition_arg)
+            q.add_argument(
+                "--" + flag,
+                dest=_dest(flag),
+                type=kind,
+                required=i == 0,
+                default=() if i and kind is _partition_arg else None,
+            )
         q.add_argument("--max-symbols", type=int, default=oracles.DEFAULT_MAX_SYMBOLS)
 
     p = sub.add_parser("verify", parents=[common], help="theorem verification")
     verify_sub = p.add_subparsers(dest="verify_command", required=True)
     q = verify_sub.add_parser("housing", parents=[common])
+    q.set_defaults(run=_cmd_verify)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--r", type=int, default=None)
     q = verify_sub.add_parser("rank", parents=[common])
+    q.set_defaults(run=_cmd_verify)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--d", type=int, default=None)
     q = verify_sub.add_parser("all", parents=[common])
+    q.set_defaults(run=_cmd_verify_all)
     q.add_argument("--max-g", type=int, default=5)
     q.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("report", parents=[common], help="summary reports")
     report_sub = p.add_subparsers(dest="report_command", required=True)
     q = report_sub.add_parser("betti", parents=[common])
+    q.set_defaults(run=_cmd_report_betti)
     q.add_argument("--g", type=int, required=True)
 
     return top
 
 
 def _cmd_theta(args):
-    payload = {"sigma": args.sigma, "tau": args.tau}
-    _emit_scalar(args.format, payload, theta(args.sigma, args.tau))
+    row = {"sigma": args.sigma, "tau": args.tau, "value": theta(args.sigma, args.tau)}
+    _emit(args.format, [row], list(row), _value)
     return 0
 
 
 def _cmd_mu(args):
     func = {"plain": mu, "prime": mu_prime, "dprime": mu_dprime}[args.variant]
-    payload = {"sigma": args.sigma, "tau": args.tau, "variant": args.variant}
-    _emit_scalar(args.format, payload, func(args.sigma, args.tau))
+    row = {"sigma": args.sigma, "tau": args.tau, "variant": args.variant}
+    row["value"] = func(args.sigma, args.tau)
+    _emit(args.format, [row], list(row), _value)
     return 0
 
 
@@ -212,105 +251,61 @@ def _cmd_coeff(args):
     kappas = args.kappa if args.kappa is not None else ((),) * k
     psis = args.psi if args.psi is not None else ((),) * k
     if len(kappas) != k or len(psis) != k:
-        print("error: need one decoration per gamma part", file=sys.stderr)
-        return 2
+        raise ValueError("need one decoration per gamma part")
     value = c_coefficient(args.lam, args.gamma, kappas, psis)
     oracle = None
-    if len(args.gamma) == 1:
+    if k == 1:
         symbols = (
             sum(args.lam) + len(args.lam)
             + sum(kappas[0]) + len(kappas[0]) + sum(psis[0])
         )
         if symbols <= 8:
             oracle = oracles.count_main_claim(args.lam, kappas[0], psis[0])
-    payload = {
-        "lambda": args.lam,
-        "gamma": args.gamma,
-        "kappa": kappas,
-        "psi": psis,
-        "coefficient": value,
-        "oracle": oracle,
-    }
-    if args.format == "json":
-        print(json.dumps(_jsonable(payload)))
-    elif args.format == "csv":
-        _print_csv([payload], list(payload))
-    else:
-        print(format_scalar(value))
-        if oracle is not None:
-            print("oracle %s" % format_scalar(oracle))
+    row = {"lambda": args.lam, "gamma": args.gamma, "kappa": kappas, "psi": psis,
+           "coefficient": value, "oracle": oracle}
+    _emit(args.format, [row], list(row), _coeff_lines)
     return 0
 
 
 def _cmd_strata(args):
     if args.pure:
-        rows = [
-            {"gamma": list(sigma), "kappa": [[] for _ in sigma], "psi": [[] for _ in sigma]}
+        strata = [
+            [(m, (), ()) for m in sigma]
             for sigma in sorted(enumerate_pure_housing_partitions(args.g, args.d))
         ]
     else:
-        rows = [
-            {
-                "gamma": [m for m, _, _ in data],
-                "kappa": [list(kap) for _, kap, _ in data],
-                "psi": [list(psi) for _, _, psi in data],
-            }
-            for data in enumerate_boundary_generators(args.g, args.d)
-        ]
-    if args.format == "csv":
-        _print_csv(rows, ["gamma", "kappa", "psi"])
-    else:
-        for row in rows:
-            print(json.dumps(row))
+        strata = enumerate_boundary_generators(args.g, args.d)
+    # per-vertex (remainder, kappa, psi) triples, read as three columns
+    fields = ["gamma", "kappa", "psi"]
+    _emit(args.format, [dict(zip(fields, zip(*data))) for data in strata], fields, json.dumps)
     return 0
 
 
 def _cmd_oracle(args):
-    name = args.oracle_command
-    bound = args.max_symbols
-    if name == "lemma-tool":
-        payload = {"oracle": name, "sigma": args.sigma, "tau": args.tau}
-        value = oracles.count_lemma_tool(args.sigma, args.tau, args.order, bound)
-    elif name == "main-claim":
-        payload = {"oracle": name, "lambda": args.lam, "tau": args.tau, "rho": args.rho}
-        value = oracles.count_main_claim(args.lam, args.tau, args.rho, bound)
-    elif name == "comb":
-        payload = {"oracle": name, "pi": args.pi}
-        value = oracles.count_comb_linear_extensions(args.pi, bound)
-    elif name == "a1":
-        payload = {"oracle": name, "lambda": args.lam, "tau": args.tau}
-        value = oracles.count_a1(args.lam, args.tau, bound)
-    elif name == "a4":
-        payload = {"oracle": name, "sigma": args.sigma, "tau": args.tau, "r": args.r}
-        value = oracles.count_a4(args.sigma, args.tau, args.r, bound)
-    else:
-        payload = {"oracle": name, "sigma": args.sigma, "tau": args.tau}
-        value = oracles.count_b2(args.sigma, args.tau, bound)
-    _emit_scalar(args.format, payload, value)
+    counter, flags = ORACLES[args.oracle_command]
+    values = [getattr(args, _dest(flag)) for flag in flags]
+    row = {"oracle": args.oracle_command} | dict(zip(flags, values))
+    row["value"] = counter(*values, args.max_symbols)
+    _emit(args.format, [row], list(row), _value)
     return 0
 
 
-def _cmd_verify_housing(args):
-    ModuliContext(args.g, d=args.d, r=args.r)
-    report = verify_housing_theorem(args.g, args.d)
-    _emit_report(args.format, report)
-    return 0 if report["ok"] else 1
+def _check(kind, g, d, r):
+    if kind == "housing":
+        return verify_housing_theorem(g, d)
+    return verify_rank_theorem(g, r)
 
 
-def _cmd_verify_rank(args):
+def _cmd_verify(args):
     ModuliContext(args.g, d=args.d, r=args.r)
-    report = verify_rank_theorem(args.g, args.r)
-    _emit_report(args.format, report)
+    report = _check(args.verify_command, args.g, args.d, args.r)
+    _emit(args.format, [report], list(report), _pairs)
     return 0 if report["ok"] else 1
 
 
 def _verify_cell(cell):
-    kind, g, x = cell
-    if kind == "housing":
-        report = verify_housing_theorem(g, x)
-        return {"check": kind, "g": g, "d": x, "r": 2 * g - 3 - x} | report
-    report = verify_rank_theorem(g, x)
-    return {"check": kind, "g": g, "d": 2 * g - 3 - x, "r": x} | report
+    kind, g, d, r = cell
+    return {"check": kind, "g": g, "d": d, "r": r} | _check(kind, g, d, r)
 
 
 def _cmd_verify_all(args):
@@ -320,74 +315,26 @@ def _cmd_verify_all(args):
         raise ValueError("--jobs must be at least 1")
     cells = []
     for g in range(2, args.max_g + 1):
-        for d in range(0, 2 * g - 3):
-            cells.append(("housing", g, d))
-        for r in range(0, g - 1):
-            cells.append(("rank", g, r))
-    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    jobs = min(jobs, len(cells))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_cell, cells))
-    else:
-        reports = [_verify_cell(cell) for cell in cells]
-    if args.format == "csv":
-        fields = [
-            "check", "g", "d", "r",
-            "rank_pure", "rank_full", "formula",
-            "rank_stacked", "rank_boundary", "rank_smooth", "ok",
-        ]
-        _print_csv(reports, fields)
-    else:
-        for report in reports:
-            _emit_report(args.format, report)
+        cells += [("housing", g, d, 2 * g - 3 - d) for d in range(0, 2 * g - 3)]
+        cells += [("rank", g, 2 * g - 3 - r, r) for r in range(0, g - 1)]
+    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # both maps yield in grid order, so a row prints once its cell and
+        # every cell before it are done
+        results = (pool.map if pool else map)(_verify_cell, cells)
+        reports = _emit(args.format, results, VERIFY_ALL_FIELDS, _pairs)
     return 0 if all(report["ok"] for report in reports) else 1
 
 
 def _cmd_report_betti(args):
-    report = betti_report(args.g)
-    if args.format == "json":
-        print(json.dumps(_jsonable(report)))
-    elif args.format == "csv":
-        rows = [{"status": report["status"], "g": report["g"]} | row for row in report["rows"]]
-        fields = [
-            "status", "g", "e", "d", "ambient_rank",
-            "gamma_conjectural", "delta_conjectural", "kernel_conjectural",
-        ]
-        _print_csv(rows, fields)
-    else:
-        print("%s kernel report, g=%d" % (report["status"], report["g"]))
-        for row in report["rows"]:
-            print(
-                "  e=%d d=%d ambient=%d gamma=%d delta=%d kernel=%d"
-                % (
-                    row["e"], row["d"], row["ambient_rank"],
-                    row["gamma_conjectural"], row["delta_conjectural"],
-                    row["kernel_conjectural"],
-                )
-            )
+    _emit(args.format, [betti_report(args.g)], BETTI_FIELDS, _betti_lines)
     return 0
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    handlers = {
-        "theta": _cmd_theta,
-        "mu": _cmd_mu,
-        "coeff": _cmd_coeff,
-        "strata": _cmd_strata,
-        "oracle": _cmd_oracle,
-        "report": _cmd_report_betti,
-    }
     try:
-        if args.command == "verify":
-            handler = {
-                "housing": _cmd_verify_housing,
-                "rank": _cmd_verify_rank,
-                "all": _cmd_verify_all,
-            }[args.verify_command]
-            return handler(args)
-        return handlers[args.command](args)
+        return args.run(args)
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

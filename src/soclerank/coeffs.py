@@ -61,15 +61,12 @@ def m_form(lam):
 
 @lru_cache(maxsize=None)
 def _m_form(lam):
-    # the refining maps onto lam come in orbits of aut(lam) under permuting
-    # equal parts of lam, each orbit one set partition of pi with block sums lam
+    # the pure row of lam sums over refining maps onto lam; they come in
+    # orbits of aut(lam) under permuting equal parts of lam, each orbit one
+    # set partition of pi with block sums lam
     aut = automorphism_count(lam)
-    targets = tuple((part, None) for part in lam)
-    return tabulate(sum(lam), lambda pi: refinement_sum(targets, pi, _pure_weight) // aut)
-
-
-def _pure_weight(block, _):
-    return theta(block)
+    row = v_form(tuple((part, (), ()) for part in lam), sum(lam))
+    return LinearForm(row.degree, tuple(x // aut for x in row.values))
 
 
 def _preimage(phi, j):

@@ -65,21 +65,28 @@ def _allowed_fz_part(p):
     return not (p >= 5 and p % 3 == 2)
 
 
+def partition_count(n, sizes):
+    """Partitions of n whose parts all lie in ``sizes`` (distinct positive ints).
+
+    Zero for negative n, one for n = 0.  Partitions into at most L parts
+    are counted with sizes range(1, L + 1), by conjugation.
+    """
+    if n < 0:
+        return 0
+    counts = [1] + [0] * n
+    for p in sizes:
+        for m in range(p, n + 1):
+            counts[m] += counts[m - p]
+    return counts[n]
+
+
 @lru_cache(maxsize=None)
 def fz_count(n):
     """Partitions of n with no part of size 5, 8, 11, ... (2 mod 3, >= 5).
 
     Zero for negative n, one for n = 0.
     """
-    if n < 0:
-        return 0
-    counts = [1] + [0] * n
-    for p in range(1, n + 1):
-        if not _allowed_fz_part(p):
-            continue
-        for m in range(p, n + 1):
-            counts[m] += counts[m - p]
-    return counts[n]
+    return partition_count(n, filter(_allowed_fz_part, range(1, n + 1)))
 
 
 def format_scalar(x):

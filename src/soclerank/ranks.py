@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .coeffs import eta_form, m_form, v_form
-from .exact import fz_count
-from .partitions import automorphism_count, enumerate_partitions, partition
+from .coeffs import eta_form, v_form
+from .exact import fz_count, partition_count
+from .partitions import enumerate_partitions, partition
 from .socle import mu
 from .strata import (
     enumerate_boundary_generators,
@@ -83,13 +83,14 @@ def exact_rank(m):
     return rank
 
 
+def _pure_row(sigma):
+    return v_form(tuple((part, (), ()) for part in sigma), sum(sigma)).values
+
+
 def pure_matrix(g, d):
     """Rows: pairing forms of the pure boundary strata of (g, d)."""
     labels = tuple(sorted(enumerate_pure_housing_partitions(g, d)))
-    rows = tuple(
-        v_form(tuple((part, (), ()) for part in sigma), d).values for sigma in labels
-    )
-    return PairingMatrix(labels, d, rows)
+    return PairingMatrix(labels, d, tuple(_pure_row(sigma) for sigma in labels))
 
 
 def full_matrix(g, d):
@@ -109,11 +110,7 @@ def housing_m_matrix(g, d):
     labels = tuple(
         lam for lam in enumerate_partitions(d) if is_housing_partition(lam, g, d)
     )
-    rows = tuple(
-        tuple(automorphism_count(lam) * x for x in m_form(lam).values)
-        for lam in labels
-    )
-    return PairingMatrix(labels, d, rows)
+    return PairingMatrix(labels, d, tuple(_pure_row(lam) for lam in labels))
 
 
 def smooth_matrix(g, r, max_length=None):
@@ -136,7 +133,7 @@ def housing_rank_formula(g, d):
     """Predicted pairing rank: short partitions plus borderline ones with two even parts."""
     if not 0 <= d <= 2 * g - 3:
         raise ValueError("degree %d out of range for genus %d" % (d, g))
-    short = len(enumerate_partitions(d, 2 * g - 3 - d))
+    short = partition_count(d, range(1, 2 * g - 2 - d))  # at most 2g-3-d parts
     border = sum(
         1
         for s in enumerate_partitions(d)
@@ -218,7 +215,7 @@ def betti_report(g):
     rows = []
     for e in range(0, g - 1):
         d = g - 1 + e
-        ambient = len(enumerate_partitions(d, 2 * g - 2 - d))
+        ambient = partition_count(d, range(1, 2 * g - 1 - d))  # at most 2g-2-d parts
         if 2 * e <= g - 2:
             m = 3 * e - g - 1
         else:

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import pathlib
+import sys
+import time
 
 import pytest
 
@@ -274,3 +277,83 @@ def test_mu_large_single_part(capsys):
     assert code == 0
     assert err == ""
     assert out == "%d\n" % math.prod(range(2002, 0, -2))
+
+
+# stdout, stderr and exit code of each command in each format, recorded
+# from the CLI before its output moved behind one emitter; the only
+# change since is that oracle lemma-tool echoes --order
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output(capsys, case):
+    try:
+        code = cli.main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["out"], case["err"])
+
+
+def test_verify_all_streams_rows(capsys, monkeypatch):
+    # when a cell starts, the rows of every earlier cell are already out
+    chunks, starts = [], []
+
+    def watch(check):
+        def run(g, x):
+            chunks.append(capsys.readouterr().out)
+            starts.append(len("".join(chunks).splitlines()))
+            return check(g, x)
+        return run
+
+    monkeypatch.setattr(cli, "verify_housing_theorem", watch(cli.verify_housing_theorem))
+    monkeypatch.setattr(cli, "verify_rank_theorem", watch(cli.verify_rank_theorem))
+    assert cli.main(["verify", "all", "--max-g", "3", "--jobs", "1"]) == 0
+    chunks.append(capsys.readouterr().out)
+    assert starts == list(range(7))
+    assert len("".join(chunks).splitlines()) == 7
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="Python before 3.10.7 has no int-to-str digit limit",
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_mu_prints_past_digit_limit(capsys, fmt):
+    # mu((2000,)) = (4002)!! has about 6300 digits, past the default 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, ["mu", "--sigma", "[2000]", "--format", fmt])
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        value = str(math.prod(range(4002, 0, -2)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert err == ""
+    assert out == {
+        "pretty": value + "\n",
+        "json": '{"sigma": [2000], "tau": [], "variant": "plain", "value": %s}\n' % value,
+        "csv": "sigma,tau,variant,value\r\n[2000],[],plain,%s\r\n" % value,
+    }[fmt]
+
+
+@needs_digit_limit
+def test_huge_partition_literal_still_rejected(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["mu", "--sigma", "[%s]" % ("9" * 5000)])
+    assert info.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_report_betti_large_genus(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["report", "betti", "--g", "60"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "CONJECTURAL kernel report, g=60"
+    assert len(lines) == 60  # one row per excess e = 0..58

@@ -12,6 +12,7 @@ from soclerank.exact import (
     fz_count,
     multinomial,
     parse_scalar,
+    partition_count,
 )
 from soclerank.partitions import enumerate_partitions
 
@@ -81,6 +82,15 @@ def test_fz_count_matches_direct_enumeration():
             if all(not (x >= 5 and x % 3 == 2) for x in p)
         )
         assert fz_count(n) == direct
+
+
+def test_partition_count_by_length():
+    # at most L parts, counted with parts of size at most L
+    for n in range(0, 25):
+        for length in range(0, n + 2):
+            expected = len(enumerate_partitions(n, length))
+            assert partition_count(n, range(1, length + 1)) == expected
+    assert partition_count(-1, range(1, 4)) == 0
 
 
 def test_scalar_round_trip():
