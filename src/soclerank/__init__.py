@@ -24,6 +24,7 @@ from .partitions import (
     enumerate_refining_functions,
     enumerate_set_partitions,
     merge,
+    merge_sum,
     partition,
     restrict,
     separates,

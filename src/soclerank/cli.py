@@ -181,7 +181,7 @@ def _parser():
     p.add_argument("--kappa", type=_partition_list_arg, default=None)
     p.add_argument("--psi", type=_partition_list_arg, default=None)
 
-    p = sub.add_parser("strata", parents=[common], help="stratum enumeration")
+    p = sub.add_parser("strata", help="stratum enumeration")
     strata_sub = p.add_subparsers(dest="strata_command", required=True)
     q = strata_sub.add_parser("enumerate", parents=[common])
     q.set_defaults(run=_cmd_strata)
@@ -189,7 +189,7 @@ def _parser():
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--pure", action="store_true")
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force cross-checks")
+    p = sub.add_parser("oracle", help="brute-force cross-checks")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     for name, (_, flags) in ORACLES.items():
         q = oracle_sub.add_parser(name, parents=[common])
@@ -206,7 +206,7 @@ def _parser():
             )
         q.add_argument("--max-symbols", type=int, default=oracles.DEFAULT_MAX_SYMBOLS)
 
-    p = sub.add_parser("verify", parents=[common], help="theorem verification")
+    p = sub.add_parser("verify", help="theorem verification")
     verify_sub = p.add_subparsers(dest="verify_command", required=True)
     q = verify_sub.add_parser("housing", parents=[common])
     q.set_defaults(run=_cmd_verify)
@@ -223,7 +223,7 @@ def _parser():
     q.add_argument("--max-g", type=int, default=5)
     q.add_argument("--jobs", type=int, default=None)
 
-    p = sub.add_parser("report", parents=[common], help="summary reports")
+    p = sub.add_parser("report", help="summary reports")
     report_sub = p.add_subparsers(dest="report_command", required=True)
     q = report_sub.add_parser("betti", parents=[common])
     q.set_defaults(run=_cmd_report_betti)
@@ -335,7 +335,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

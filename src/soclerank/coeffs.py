@@ -17,8 +17,8 @@ from .partitions import (
     automorphism_count,
     enumerate_partitions,
     enumerate_refining_functions,
-    enumerate_set_partitions,
-    merge,
+    merge_sign,
+    merge_sum,
     partition,
     refinement_sum,
     restrict,
@@ -181,46 +181,35 @@ def c_chain(lam, gamma, kappas=None, psis=None):
 
 @lru_cache(maxsize=None)
 def _chain_single(lam, kap, psi):
-    # coefficient of lam in the one-vertex row theta(pi + kap; psi)
-    total = theta(partition(lam + kap), psi)
-    singletons = tuple((i,) for i in range(len(lam)))
-    for blocks in enumerate_set_partitions(range(len(lam))):
-        if blocks == singletons:
-            continue
-        step = 1
-        for b in blocks:
-            step *= theta(restrict(lam, b))
-        total -= step * _chain_single(merge(lam, blocks), kap, psi)
-    return total
+    # coefficient of lam in the one-vertex row theta(pi + kap; psi), less
+    # every strict coarsening of lam weighted by its blocks' theta values
+    def coarser(merged):
+        return 0 if len(merged) == len(lam) else _chain_single(merged, kap, psi)
+
+    step = merge_sum(lam, lambda b: theta(restrict(lam, b)), coarser)
+    return theta(partition(lam + kap), psi) - step
 
 
 def phi_inverse_transform(form):
     """The alternating merge sum: value at tau sums the form over coarsenings."""
-
-    def value(tau):
-        total = 0
-        for blocks in enumerate_set_partitions(range(len(tau))):
-            sign = -1 if (len(tau) + len(blocks)) % 2 else 1
-            total += sign * form(merge(tau, blocks))
-        return total
-
-    return tabulate(form.degree, value)
+    values = dict(form.items())
+    return tabulate(form.degree, lambda tau: merge_sum(tau, merge_sign, values.__getitem__))
 
 
 def phi_transform(form):
-    """Two-sided inverse of phi_inverse_transform, by substitution over length."""
-    d = form.degree
-    out = {}
-    for tau in enumerate_partitions(d):
-        acc = form(tau)
-        singletons = tuple((i,) for i in range(len(tau)))
-        for blocks in enumerate_set_partitions(range(len(tau))):
-            if blocks == singletons:
-                continue
-            sign = -1 if (len(tau) + len(blocks)) % 2 else 1
-            acc -= sign * out[merge(tau, blocks)]
-        out[tau] = acc
-    return LinearForm(d, tuple(out[p] for p in enumerate_partitions(d)))
+    """Two-sided inverse of phi_inverse_transform: the merge sum with block weight (|B|-1)!.
+
+    Block weights w(|B|) compose like exponential generating functions.
+    The sign weight has e.g.f. 1 - e^(-x) and (|B|-1)! has -log(1 - x);
+    the two are compositional inverses (Stanley, EC2, section 5.1).
+    """
+    values = dict(form.items())
+    return tabulate(form.degree, lambda tau: merge_sum(tau, _cycle_weight, values.__getitem__))
+
+
+def _cycle_weight(block):
+    # the number of cyclic orders of the block
+    return factorial(len(block) - 1)
 
 
 def _check_sigma(sigma, g, r):
@@ -314,12 +303,8 @@ def verify_triangular_identity(sigma, g, r):
     sigma = partition(sigma)
     _check_sigma(sigma, g, r)
     for tau in enumerate_partitions(r):
-        rhs = 0
-        for blocks in enumerate_set_partitions(range(len(sigma))):
-            prod = 1
-            for b in blocks:
-                prod *= block_factor(b, sigma)
-            rhs += prod * _eta_dprime(merge(sigma, blocks), g, r)(tau)
+        rhs = merge_sum(sigma, lambda b: block_factor(b, sigma),
+                        lambda merged: _eta_dprime(merged, g, r)(tau))
         if mu_dprime(sigma, tau) != rhs:
             return False
     return True

@@ -15,7 +15,8 @@ block contents is the same for parts of equal value, so one dynamic
 program over part multiplicities (the exponential formula for multiset
 partitions) replaces the Bell-number and factorial enumerations.
 ``enumerate_set_partitions`` and ``enumerate_refining_functions`` stay
-as the slow references.
+as the slow references; ``merge_sum`` is the one sum over coarsenings
+built on the former.
 """
 
 from functools import lru_cache
@@ -234,6 +235,31 @@ def _block(kinds, taken):
 
 def _left(kinds, taken):
     return tuple((cls, v, n - c) for (cls, v, n), c in zip(kinds, taken) if n > c)
+
+
+def merge_sum(parts, weight, value):
+    """Sum over the coarsenings of ``parts``, one per set partition of its indices.
+
+    A set partition ``blocks`` of ``range(len(parts))`` contributes
+    ``value(merge(parts, blocks))`` times the product of ``weight(block)``
+    over its blocks.  This is the slow reference that the inclusion-
+    exclusion identities between the mu variants, the phi transforms,
+    the block-factor identity and the chain recursion share.
+    """
+    parts = tuple(parts)
+    total = 0
+    for blocks in enumerate_set_partitions(range(len(parts))):
+        term = value(merge(parts, blocks))
+        if term:
+            for b in blocks:
+                term *= weight(b)
+            total += term
+    return total
+
+
+def merge_sign(block):
+    """The inclusion-exclusion weight (-1)^(|B|-1) of a merged block."""
+    return -1 if len(block) % 2 == 0 else 1
 
 
 def merge(sigma, blocks):

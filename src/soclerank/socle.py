@@ -16,12 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import double_factorial, factorial, multinomial
-from .partitions import (
-    enumerate_set_partitions,
-    merge,
-    partition,
-    set_partition_totals,
-)
+from .partitions import merge_sign, merge_sum, partition, set_partition_totals
 
 
 @dataclass(frozen=True)
@@ -154,20 +149,10 @@ def mu_dprime(sigma, tau=()):
 def mu_from_mu_prime(sigma, tau):
     """Reassemble mu(sigma, tau) from mu_prime by merging tau indices."""
     sigma = partition(sigma)
-    tau = partition(tau)
-    total = 0
-    for blocks in enumerate_set_partitions(range(len(tau))):
-        sign = (-1) ** (len(tau) + len(blocks))
-        total += sign * mu_prime(sigma, merge(tau, blocks))
-    return total
+    return merge_sum(partition(tau), merge_sign, lambda t: mu_prime(sigma, t))
 
 
 def mu_prime_from_mu_dprime(sigma, tau):
     """Reassemble mu_prime(sigma, tau) from mu_dprime by merging sigma indices."""
-    sigma = partition(sigma)
     tau = partition(tau)
-    total = 0
-    for blocks in enumerate_set_partitions(range(len(sigma))):
-        sign = (-1) ** (len(sigma) + len(blocks))
-        total += sign * mu_dprime(merge(sigma, blocks), tau)
-    return total
+    return merge_sum(partition(sigma), merge_sign, lambda s: mu_dprime(s, tau))

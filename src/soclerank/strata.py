@@ -241,19 +241,12 @@ def _genus_assignments(degrees, g, break_ties=True):
 def enumerate_pure_housing_partitions(g, d):
     """Housing data of every pure boundary stratum of genus g in degree d.
 
-    Enumerates vertex-degree multisets with all stable genus
-    assignments and collects the resulting socle-dimension partitions.
-    The vertex count is 2g-2-d; when that is 1 (d = 2g-3) the single
-    undecorated vertex itself is the only stratum.
+    The undecorated slice of the stratum walk, projected to the socle
+    remainders.  The vertex count is 2g-2-d; when that is 1 (d = 2g-3)
+    the single undecorated vertex itself is the only stratum.
     """
-    ModuliContext(g, d=d)
-    v = 2 * g - 2 - d
-    found = set()
-    for degrees in tree_degree_multisets(v):
-        for genera in _genus_assignments(degrees, g):
-            dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
-            found.add(partition(x for x in dims if x > 0))
-    return frozenset(found)
+    return frozenset(partition(m for m, _, _ in data)
+                     for data in _walk(g, d, (0,), tree_degree_multisets))
 
 
 def enumerate_boundary_generators(g, d):
@@ -267,16 +260,48 @@ def enumerate_boundary_generators(g, d):
     value, a positive word count, which leaves the row span unchanged.
     Output is deduplicated and canonically sorted.
     """
+    return tuple(sorted(_walk(g, d, range(0, 2 * g - 3 - d), tree_degree_multisets)))
+
+
+def boundary_generators_via_labeled_trees(g, d):
+    """Slow cross-check: the same reduced data set from labeled trees.
+
+    Walks the valence sequences of Pruefer-coded labeled trees with
+    every genus composition, not just the weakly decreasing ones; must
+    agree with enumerate_boundary_generators on small inputs.
+    """
+    return tuple(sorted(_walk(g, d, range(0, 2 * g - 3 - d), _labeled_valences,
+                              break_ties=False)))
+
+
+def _labeled_valences(v):
+    # the valence sequences of the labeled trees, each once
+    valences = set()
+    for edges in enumerate_labeled_trees(v):
+        valence = [0] * v
+        for a, b in edges:
+            valence[a] += 1
+            valence[b] += 1
+        valences.add(tuple(valence))
+    return valences
+
+
+def _walk(g, d, budgets, shapes, break_ties=True):
+    """Reduced data of the strata with k decorations, for each k in ``budgets``.
+
+    A stratum with k decorations has 2g-2-d-k vertices; ``shapes(v)``
+    lists their degree sequences, and each gets every stable genus
+    assignment and every decoration of total size k.
+    """
     ModuliContext(g, d=d)
     found = set()
-    for k in range(0, 2 * g - 3 - d):
-        v = 2 * g - 2 - d - k
-        for degrees in tree_degree_multisets(v):
-            for genera in _genus_assignments(degrees, g):
+    for k in budgets:
+        for degrees in shapes(2 * g - 2 - d - k):
+            for genera in _genus_assignments(degrees, g, break_ties):
                 dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
                 for decor in _decoration_assignments(dims, degrees, k):
                     found.add(_reduce(dims, decor))
-    return tuple(sorted(found))
+    return found
 
 
 def _reduce(dims, decor):
@@ -289,6 +314,8 @@ def _reduce(dims, decor):
 
 
 def _decoration_assignments(dims, degrees, k):
+    # a (kappa, psi) pair per vertex, sizes adding up to k, at most the
+    # vertex dimension each, psi no longer than the valence
     n = len(dims)
 
     def rec(i, remaining, acc):
@@ -296,41 +323,13 @@ def _decoration_assignments(dims, degrees, k):
             if remaining == 0:
                 yield tuple(acc)
             return
-        for budget in range(0, min(remaining, dims[i]) + 1):
-            for pair in _vertex_decorations(budget, degrees[i]):
-                acc.append(pair)
-                yield from rec(i + 1, remaining - budget, acc)
-                acc.pop()
+        room = min(remaining, dims[i])
+        for a in range(room + 1):
+            for b in range(room - a + 1):
+                for kap in enumerate_partitions(a):
+                    for psi in enumerate_partitions(b, degrees[i]):
+                        acc.append((kap, psi))
+                        yield from rec(i + 1, remaining - a - b, acc)
+                        acc.pop()
 
     yield from rec(0, k, [])
-
-
-def _vertex_decorations(budget, valence):
-    for a in range(budget + 1):
-        for kap in enumerate_partitions(a):
-            for psi in enumerate_partitions(budget - a):
-                if len(psi) <= valence:
-                    yield (kap, psi)
-
-
-def boundary_generators_via_labeled_trees(g, d):
-    """Slow cross-check: the same reduced data set from labeled trees.
-
-    Enumerates Pruefer-coded labeled trees with explicit genus and
-    decoration assignments per vertex; must agree with
-    enumerate_boundary_generators on small inputs.
-    """
-    ModuliContext(g, d=d)
-    found = set()
-    for k in range(0, 2 * g - 3 - d):
-        v = 2 * g - 2 - d - k
-        for edges in enumerate_labeled_trees(v):
-            valence = [0] * v
-            for a, b in edges:
-                valence[a] += 1
-                valence[b] += 1
-            for genera in _genus_assignments(valence, g, break_ties=False):
-                dims = [2 * gv - 3 + nv for gv, nv in zip(genera, valence)]
-                for decor in _decoration_assignments(dims, valence, k):
-                    found.add(_reduce(dims, decor))
-    return tuple(sorted(found))

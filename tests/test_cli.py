@@ -237,6 +237,37 @@ def test_domain_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["oracle", "--format", "json", "lemma-tool", "--sigma", "[1,1]"],
+    ["verify", "--format", "csv", "housing", "--g", "3", "--d", "1"],
+])
+def test_group_level_format_rejected(capsys, argv):
+    # --format belongs to the leaf commands only
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_recursion_error_exits_two(capsys):
+    # theta of n equal parts recurses about n frames deep in the kernel;
+    # a limit 100 frames above the current depth stands in for 1200 parts
+    depth = 0
+    frame = sys._getframe()
+    while frame:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        code, out, err = run(capsys, ["theta", "--sigma", json.dumps([1] * 400)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "all", "--max-g", "1"],
     ["verify", "all", "--jobs", "0"],
     ["verify", "all", "--jobs", "-3"],

@@ -185,9 +185,11 @@ def test_chain_matches_expansion_sampled():
 
 
 def test_phi_round_trips():
+    # phi_transform is the closed-form merge sum, not built from the inverse,
+    # so both compositions are real checks
     rng = random.Random(47)
-    for _ in range(20):
-        d = rng.randrange(0, 7)
+
+    def check(d):
         parts = enumerate_partitions(d)
         form = LinearForm(d, tuple(rng.randrange(-20, 21) for _ in parts))
         assert phi_transform(phi_inverse_transform(form)).values == form.values
@@ -195,6 +197,12 @@ def test_phi_round_trips():
         # both transforms fix the value at the one-part partition
         if d >= 1:
             assert phi_transform(form)((d,)) == form((d,))
+
+    for _ in range(20):
+        check(rng.randrange(0, 7))
+    for d in range(0, 9):
+        for _ in range(3):
+            check(d)
 
 
 def test_phi_connects_mu_and_mu_prime():

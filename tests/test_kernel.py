@@ -3,7 +3,8 @@
 Every fast sum in ``socle`` and ``coeffs`` is compared exactly with the
 direct sum over ``enumerate_set_partitions`` or
 ``enumerate_refining_functions``, first on full small grids and then on
-random partitions drawn by Hypothesis.
+random partitions drawn by Hypothesis; ``c_coefficient`` is compared
+with the chain recursion ``c_chain``.
 """
 
 from collections import Counter
@@ -12,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclerank.coeffs import m_form, v_form
+from soclerank.coeffs import c_chain, c_coefficient, m_form, v_form
 from soclerank.exact import double_factorial, factorial, multinomial
 from soclerank.partitions import (
     automorphism_count,
@@ -207,3 +208,16 @@ def test_kernel_matches_enumeration_on_random_partitions(sigma, tau, data, lam_i
     form = v_form(data, d)
     for pi in enumerate_partitions(d):
         assert form(pi) == v_form_reference(data, pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(_vertices, min_size=1, max_size=3).filter(
+        lambda v: sum(m for m, _, _ in v) <= 7),
+    lam_index=st.integers(0, 10**6),
+)
+def test_c_coefficient_matches_chain_on_random_data(data, lam_index):
+    gamma, kappas, psis = (tuple(col) for col in zip(*data))
+    candidates = enumerate_partitions(sum(gamma))
+    lam = candidates[lam_index % len(candidates)]
+    assert c_coefficient(lam, gamma, kappas, psis) == c_chain(lam, gamma, kappas, psis)

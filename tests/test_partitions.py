@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -8,6 +9,8 @@ from soclerank.partitions import (
     enumerate_refining_functions,
     enumerate_set_partitions,
     merge,
+    merge_sign,
+    merge_sum,
     partition,
     restrict,
     separates,
@@ -62,6 +65,22 @@ def test_set_partition_counts_match_bell_triangle():
         assert len(set(blocks_sets)) == bell[n]
         for blocks in blocks_sets:
             assert sorted(i for b in blocks for i in b) == list(range(n))
+
+
+def test_merge_sum_counts():
+    bell = (1, 1, 2, 5, 15, 52, 203, 877)
+    for n in range(0, 8):
+        parts = tuple(range(n, 0, -1))
+        # unit weights count the set partitions, (|B|-1)! the permutations by cycles
+        assert merge_sum(parts, lambda b: 1, lambda merged: 1) == bell[n]
+        assert merge_sum(parts, lambda b: factorial(len(b) - 1), lambda merged: 1) == factorial(n)
+        if n:
+            # only the one-block partition reaches the one-part partition
+            assert merge_sum(parts, merge_sign,
+                             lambda merged: int(merged == (sum(parts),))) == (-1) ** (n - 1)
+    seen = []
+    merge_sum((2, 1, 1), lambda b: 1, lambda merged: seen.append(merged) or 0)
+    assert sorted(seen) == [(2, 1, 1), (2, 2), (3, 1), (3, 1), (4,)]
 
 
 def test_refinement_exists_iff_merge_reaches():
