@@ -20,8 +20,8 @@ from .partitions import (
     merge_sign,
     merge_sum,
     partition,
-    refinement_sum,
     restrict,
+    splits,
 )
 from .socle import mu_dprime, theta
 
@@ -65,8 +65,13 @@ def _m_form(lam):
     # orbits of aut(lam) under permuting equal parts of lam, each orbit one
     # set partition of pi with block sums lam
     aut = automorphism_count(lam)
-    row = v_form(tuple((part, (), ()) for part in lam), sum(lam))
+    row = pure_row(lam)
     return LinearForm(row.degree, tuple(x // aut for x in row.values))
+
+
+def pure_row(lam):
+    """Pairing row of the pure stratum of lam: one undecorated vertex per part."""
+    return v_form(tuple((part, (), ()) for part in lam), sum(lam))
 
 
 def _preimage(phi, j):
@@ -83,8 +88,8 @@ def v_form(data, d):
     """Pairing row of a decorated boundary stratum against kappa monomials.
 
     ``data`` lists per-vertex triples (socle remainder, kappa decoration,
-    psi decoration); remainders must sum to d.  A zero remainder only
-    contributes its constant theta factor.
+    psi decoration); remainders must sum to d.  The row is the product
+    of the one-vertex rows; a zero remainder only scales it by theta.
     """
     triples = []
     for m, kap, psi in data:
@@ -95,7 +100,7 @@ def v_form(data, d):
         raise ValueError("remainders sum to %d, expected %d"
                          % (sum(m for m, _, _ in triples), d))
     constant, targets = _split_vertices(triples)
-    return tabulate(d, lambda pi: constant * refinement_sum(targets, pi, _vertex_weight))
+    return LinearForm(d, tuple(constant * x for x in (_row(targets) if targets else (1,))))
 
 
 def _split_vertices(data):
@@ -111,9 +116,18 @@ def _split_vertices(data):
     return constant, tuple(sorted(targets, reverse=True))
 
 
-def _vertex_weight(block, decoration):
-    kap, psi = decoration
-    return theta(partition(block + kap), psi)
+@lru_cache(maxsize=None)
+def _row(targets):
+    # one vertex pairs pi with theta(pi + kappa; psi); a refining map onto
+    # more sends a labeled sub-multiset of pi to the first vertex and the
+    # rest onto the others, so their row is the split convolution
+    (m, (kap, psi)), d = targets[0], sum(part for part, _ in targets)
+    if len(targets) == 1:
+        return tuple(theta(partition(pi + kap), psi) for pi in enumerate_partitions(m))
+    head, tail = _row(targets[:1]), _row(targets[1:])
+    hpos, tpos = _position(m), _position(d - m)
+    return tuple(sum(ways * head[hpos[taken]] * tail[tpos[left]]
+                     for taken, left, ways in splits(pi, m)) for pi in enumerate_partitions(d))
 
 
 def c_expansion(form):

@@ -9,14 +9,15 @@ A refining function from ``source`` into ``target`` is a tuple ``phi``
 of length ``len(source)`` with ``phi[j]`` a target index, such that each
 target part equals the sum of the source parts mapped onto it.
 
-``set_partition_totals`` and ``refinement_sum`` sum over set partitions
-and refining maps without listing them: a summand that depends only on
-block contents is the same for parts of equal value, so one dynamic
-program over part multiplicities (the exponential formula for multiset
-partitions) replaces the Bell-number and factorial enumerations.
-``enumerate_set_partitions`` and ``enumerate_refining_functions`` stay
-as the slow references; ``merge_sum`` is the one sum over coarsenings
-built on the former.
+``set_partition_totals`` sums over set partitions without listing them:
+a summand that depends only on block contents is the same for parts of
+equal value, so one dynamic program over part multiplicities (the
+exponential formula for multiset partitions) replaces the Bell-number
+enumeration.  ``splits`` lists the sub-multisets of a partition with
+their labeled multiplicities; a sum over refining maps is a product of
+such splits, one per target part.  ``enumerate_set_partitions`` and
+``enumerate_refining_functions`` stay as the slow references;
+``merge_sum`` is the one sum over coarsenings built on the former.
 """
 
 from functools import lru_cache
@@ -157,34 +158,20 @@ def _free(weight, caps, kinds):
     return totals
 
 
-def refinement_sum(targets, source, weight):
-    """Sum over the refining maps of ``source`` onto ``targets`` of block weight products.
-
-    ``targets`` lists (part, data) pairs.  A refining map sends each part
-    of the partition ``source`` to a target so that the parts sent to a
-    target add up to it, and contributes the product over targets of
-    ``weight(block, data)``, with block the partition of the parts sent
-    there.  Source parts are told apart by position.  ``weight`` and
-    every ``data`` must be hashable, since they key the memo.
-    """
-    source = partition(source)
-    targets = tuple(targets)
-    if sum(part for part, _ in targets) != sum(source):
-        return 0
-    return _matched(weight, targets, _kinds((source,)))
-
-
 @lru_cache(maxsize=None)
-def _matched(weight, targets, kinds):
-    if not targets:
-        return 1  # equal totals: nothing is left over
-    (part, data), later = targets[0], targets[1:]
-    total = 0
-    for taken, ways in _picks(kinds, [inf], part):
-        inner = _matched(weight, later, _left(kinds, taken))
-        if inner:
-            total += ways * weight(_block(kinds, taken), data) * inner
-    return total
+def splits(pi, a):
+    """Every way to take parts of value sum ``a`` out of the partition ``pi``.
+
+    Returns (taken, left, ways) triples: the taken sub-multiset and the
+    parts left over, both as partitions, and the number of labeled
+    choices of positions of ``pi`` that take it.
+    """
+    kinds = _kinds((pi,))
+    out = []
+    for taken, ways in _picks(kinds, [inf], a):
+        left = [n - c for (_, _, n), c in zip(kinds, taken)]
+        out.append((_block(kinds, taken), _block(kinds, left), ways))
+    return tuple(out)
 
 
 def _kinds(classes):

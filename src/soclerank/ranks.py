@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .coeffs import eta_form, v_form
+from .coeffs import eta_form, pure_row, v_form
 from .exact import fz_count, partition_count
 from .partitions import enumerate_partitions, partition
 from .socle import mu
@@ -83,14 +83,10 @@ def exact_rank(m):
     return rank
 
 
-def _pure_row(sigma):
-    return v_form(tuple((part, (), ()) for part in sigma), sum(sigma)).values
-
-
 def pure_matrix(g, d):
     """Rows: pairing forms of the pure boundary strata of (g, d)."""
     labels = tuple(sorted(enumerate_pure_housing_partitions(g, d)))
-    return PairingMatrix(labels, d, tuple(_pure_row(sigma) for sigma in labels))
+    return PairingMatrix(labels, d, tuple(pure_row(sigma).values for sigma in labels))
 
 
 def full_matrix(g, d):
@@ -110,7 +106,7 @@ def housing_m_matrix(g, d):
     labels = tuple(
         lam for lam in enumerate_partitions(d) if is_housing_partition(lam, g, d)
     )
-    return PairingMatrix(labels, d, tuple(_pure_row(lam) for lam in labels))
+    return PairingMatrix(labels, d, tuple(pure_row(lam).values for lam in labels))
 
 
 def smooth_matrix(g, r, max_length=None):

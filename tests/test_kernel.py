@@ -1,7 +1,8 @@
-"""The multiplicity kernel against the enumerations it replaces.
+"""The multiplicity kernel and the split products against the enumerations they replace.
 
-Every fast sum in ``socle`` and ``coeffs`` is compared exactly with the
-direct sum over ``enumerate_set_partitions`` or
+Every fast sum in ``socle`` is compared exactly with the direct sum over
+``enumerate_set_partitions``, and every stratum row of ``coeffs`` (a
+product of one-vertex rows over ``splits``) with the direct sum over
 ``enumerate_refining_functions``, first on full small grids and then on
 random partitions drawn by Hypothesis; ``c_coefficient`` is compared
 with the chain recursion ``c_chain``.
@@ -21,10 +22,10 @@ from soclerank.partitions import (
     enumerate_refining_functions,
     enumerate_set_partitions,
     partition,
-    refinement_sum,
     restrict,
     separates,
     set_partition_totals,
+    splits,
 )
 from soclerank.socle import mu, mu_dprime, mu_prime, theta
 from soclerank.strata import enumerate_boundary_generators
@@ -127,18 +128,22 @@ def test_set_partition_totals_counts_set_partitions():
                 assert set_partition_totals((sigma, tau), _unit, caps) == expected
 
 
-def _unit_target(block, data):
-    return 1
+def _split_count(source, target):
+    # the split product of unit one-vertex rows: each target part in turn
+    # takes a labeled sub-multiset of what the earlier parts left
+    if not target:
+        return 1
+    return sum(ways * _split_count(left, target[1:])
+               for _, left, ways in splits(source, target[0]))
 
 
-def test_refinement_sum_counts_refining_maps():
+def test_split_products_count_refining_maps():
     for n in range(0, 8):
         for source in enumerate_partitions(n):
             for target in enumerate_partitions(n):
-                targets = tuple((part, None) for part in target)
-                assert refinement_sum(targets, source, _unit_target) == len(
-                    enumerate_refining_functions(target, source))
-    assert refinement_sum(((3, None),), (2,), _unit_target) == 0
+                assert _split_count(source, target) == len(
+                    enumerate_refining_functions(target, source)), (source, target)
+    assert splits((2,), 3) == ()
 
 
 def test_theta_matches_set_partition_sum():
@@ -173,7 +178,7 @@ def test_m_form_matches_refining_map_sum():
 
 
 def test_v_form_matches_refining_map_sum():
-    for g in range(2, 6):
+    for g in range(2, 7):
         for d in range(0, 2 * g - 2):
             for data in enumerate_boundary_generators(g, d):
                 form = v_form(data, d)
@@ -192,7 +197,7 @@ _vertices = st.tuples(st.integers(0, 4), _partitions(2, 2), _partitions(2, 2))
 @given(
     sigma=_partitions(3, 6),
     tau=_partitions(3, 3),
-    data=st.lists(_vertices, max_size=3).filter(lambda v: sum(m for m, _, _ in v) <= 7),
+    data=st.lists(_vertices, max_size=4).filter(lambda v: sum(m for m, _, _ in v) <= 7),
     lam_index=st.integers(0, 10**6),
 )
 def test_kernel_matches_enumeration_on_random_partitions(sigma, tau, data, lam_index):

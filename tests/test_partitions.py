@@ -14,6 +14,7 @@ from soclerank.partitions import (
     partition,
     restrict,
     separates,
+    splits,
 )
 
 
@@ -81,6 +82,20 @@ def test_merge_sum_counts():
     seen = []
     merge_sum((2, 1, 1), lambda b: 1, lambda merged: seen.append(merged) or 0)
     assert sorted(seen) == [(2, 1, 1), (2, 2), (3, 1), (3, 1), (4,)]
+
+
+def test_splits_partition_the_labeled_subsets():
+    # each split takes parts of sum a and leaves the rest; over all a the
+    # labeled choices are the 2^len(pi) subsets of the positions of pi
+    for n in range(0, 9):
+        for pi in enumerate_partitions(n):
+            total = 0
+            for a in range(0, n + 1):
+                for taken, left, ways in splits(pi, a):
+                    assert sum(taken) == a, (pi, a, taken)
+                    assert partition(taken + left) == pi, (pi, a, taken, left)
+                    total += ways
+            assert total == 2 ** len(pi), pi
 
 
 def test_refinement_exists_iff_merge_reaches():
