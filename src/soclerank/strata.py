@@ -9,9 +9,10 @@ that multiset is the reduced boundary data.
 
 Because the pairing row never sees the edge structure, the production
 enumeration runs over vertex-degree multisets (partitions of 2(v-1)
-into v positive parts) instead of labeled trees; the labeled-tree
-route via Pruefer sequences is kept as a self-checkable cross
-reference.
+into v positive parts) and their genus assignments, and reduces the
+decorations of each such shape in one deduplicating fold over its
+vertices instead of listing them; the labeled-tree route via Pruefer
+sequences is kept as a self-checkable cross reference.
 """
 
 from dataclasses import dataclass
@@ -254,10 +255,10 @@ def enumerate_boundary_generators(g, d):
 
     Decoration budget k runs over 0..2g-4-d so that at least one edge
     remains; a vertex of socle dimension m may carry kappa and psi
-    partitions of total size at most m (negative remainders are
-    skipped), psi length bounded by the valence.  Vertices with
-    remainder zero are dropped: they only scale the row by their theta
-    value, a positive word count, which leaves the row span unchanged.
+    partitions of total size at most m, psi length bounded by the
+    valence.  Vertices with remainder zero are dropped: they only scale
+    the row by their theta value, a positive word count, which leaves
+    the row span unchanged.
     Output is deduplicated and canonically sorted.
     """
     return tuple(sorted(_walk(g, d, range(0, 2 * g - 3 - d), tree_degree_multisets)))
@@ -291,7 +292,7 @@ def _walk(g, d, budgets, shapes, break_ties=True):
 
     A stratum with k decorations has 2g-2-d-k vertices; ``shapes(v)``
     lists their degree sequences, and each gets every stable genus
-    assignment and every decoration of total size k.
+    assignment, whose decorations of total size k ``_fold`` reduces.
     """
     ModuliContext(g, d=d)
     found = set()
@@ -299,37 +300,32 @@ def _walk(g, d, budgets, shapes, break_ties=True):
         for degrees in shapes(2 * g - 2 - d - k):
             for genera in _genus_assignments(degrees, g, break_ties):
                 dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
-                for decor in _decoration_assignments(dims, degrees, k):
-                    found.add(_reduce(dims, decor))
+                found |= _fold(dims, degrees, k)
     return found
 
 
-def _reduce(dims, decor):
-    triples = []
-    for dim, (kap, psi) in zip(dims, decor):
-        remainder = dim - sum(kap) - sum(psi)
-        if remainder:
-            triples.append((remainder, kap, psi))
-    return tuple(sorted(triples, reverse=True))
+def _fold(dims, degrees, k):
+    """Reduced data of the decorations of total size k on one shape.
 
-
-def _decoration_assignments(dims, degrees, k):
-    # a (kappa, psi) pair per vertex, sizes adding up to k, at most the
-    # vertex dimension each, psi no longer than the valence
-    n = len(dims)
-
-    def rec(i, remaining, acc):
-        if i == n:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        room = min(remaining, dims[i])
-        for a in range(room + 1):
-            for b in range(room - a + 1):
-                for kap in enumerate_partitions(a):
-                    for psi in enumerate_partitions(b, degrees[i]):
-                        acc.append((kap, psi))
-                        yield from rec(i + 1, remaining - a - b, acc)
-                        acc.pop()
-
-    yield from rec(0, k, [])
+    A state is (sorted nonzero (remainder, kappa, psi) triples, decorations
+    left); each vertex of positive dimension, smallest first, tries every
+    (kappa, psi) that fits, psi no longer than its valence.  Equal states
+    merge, and a state is dropped once the later vertices cannot absorb
+    what it has left.
+    """
+    room = sum(dims)
+    states = {((), k)}
+    for dim, valence in sorted((m, n) for m, n in zip(dims, degrees) if m):
+        room -= dim
+        step = set()
+        for triples, left in states:
+            top = min(dim, left)
+            for a in range(top + 1):
+                for b in range(max(0, left - a - room), top - a + 1):
+                    for kap, psi in product(enumerate_partitions(a),
+                                            enumerate_partitions(b, valence)):
+                        new = ((dim - a - b, kap, psi),) if dim > a + b else ()
+                        step.add((tuple(sorted(triples + new, reverse=True)),
+                                  left - a - b))
+        states = step
+    return {triples for triples, left in states if not left}

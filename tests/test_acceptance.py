@@ -165,7 +165,7 @@ def test_criterion_5_identity_pipeline(capsys):
 
 def test_criterion_6_housing_enumeration(capsys):
     failures = []
-    for g in range(2, 6):
+    for g in range(2, 9):
         for d in range(0, 2 * g - 3):
             enumerated = enumerate_pure_housing_partitions(g, d)
             predicate = {
@@ -186,7 +186,7 @@ def test_criterion_6_housing_enumeration(capsys):
 
 def test_criterion_7_vanishing(capsys):
     failures = []
-    for g in range(2, 6):
+    for g in range(2, 8):
         for d in range(0, 2 * g - 2):
             lams = enumerate_partitions(d)
             non_housing = [

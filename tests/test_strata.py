@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from soclerank.partitions import enumerate_partitions, partition
 from soclerank.strata import (
     DecoratedTree,
+    _genus_assignments,
     boundary_generators_via_labeled_trees,
     build_housing_tree,
     enumerate_boundary_generators,
@@ -129,11 +132,90 @@ def test_boundary_generator_examples():
 def test_boundary_generators_match_labeled_tree_route():
     for g in range(2, 5):
         for d in range(0, 2 * g - 2):
-            if d > 2 * g - 3:
-                continue
             fast = enumerate_boundary_generators(g, d)
             slow = boundary_generators_via_labeled_trees(g, d)
             assert fast == slow
+
+
+def _product_walk(g, d, budgets):
+    # slow reference: every decorated stratum of each degree multiset and
+    # genus assignment, listed one by one and reduced, then deduplicated
+    found = set()
+    for k in budgets:
+        for degrees in tree_degree_multisets(2 * g - 2 - d - k):
+            for genera in _genus_assignments(degrees, g):
+                dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
+                for decor in _decoration_assignments(dims, degrees, k):
+                    found.add(_reduce(dims, decor))
+    return found
+
+
+def _reduce(dims, decor):
+    triples = []
+    for dim, (kap, psi) in zip(dims, decor):
+        remainder = dim - sum(kap) - sum(psi)
+        if remainder:
+            triples.append((remainder, kap, psi))
+    return tuple(sorted(triples, reverse=True))
+
+
+def _decoration_assignments(dims, degrees, k):
+    # a (kappa, psi) pair per vertex, sizes adding up to k, at most the
+    # vertex dimension each, psi no longer than the valence
+    n = len(dims)
+
+    def rec(i, remaining, acc):
+        if i == n:
+            if remaining == 0:
+                yield tuple(acc)
+            return
+        room = min(remaining, dims[i])
+        for a in range(room + 1):
+            for b in range(room - a + 1):
+                for kap in enumerate_partitions(a):
+                    for psi in enumerate_partitions(b, degrees[i]):
+                        acc.append((kap, psi))
+                        yield from rec(i + 1, remaining - a - b, acc)
+                        acc.pop()
+
+    yield from rec(0, k, [])
+
+
+def test_fold_matches_product_walk():
+    for g in range(2, 8):
+        for d in range(0, 2 * g - 2):
+            slow = _product_walk(g, d, range(0, 2 * g - 3 - d))
+            assert enumerate_boundary_generators(g, d) == tuple(sorted(slow))
+            pure = {partition(m for m, _, _ in data)
+                    for data in _product_walk(g, d, (0,))}
+            assert enumerate_pure_housing_partitions(g, d) == pure
+
+
+# (count, sha256 of repr) of enumerate_boundary_generators(8, d), recorded
+# from the product walk; the g <= 7 reference above cannot reach genus 8
+GENUS_8_GENERATORS = {
+    0: (1, "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8"),
+    1: (1088, "68b400d7f287ec01c2839c9d442859d83888e5af69de21482f54823c0150c5d9"),
+    2: (4644, "12c5bcb2f32d0ba31d48641e406ab384c6406cd7ea90af1675e9eef67f6f5a47"),
+    3: (7046, "a3490c92060579ff495423b6578ebc495354dc62aa1e47e8ff4ca0938c1de148"),
+    4: (6967, "beafba8939fe31f73ba8f8ac646919c3f2769a8da29110fa4ac58bacd02db659"),
+    5: (5316, "cfd3c11972a14ad831afdbd2c46ef4fe877caa2728c9f2c1f960d42492348b72"),
+    6: (3325, "fff6458c5823016b2bf4155d15cbab7b15836ec4369599bc4b844d9be489e1d5"),
+    7: (1766, "56d76473dbbbed261fa34044f25a730909cdd861e73e4cd0d87fd6e011d46c51"),
+    8: (800, "58385267ac1573535ebe5d9b5b75b1e64776ae255e094619f1bd8a739c40e273"),
+    9: (309, "38fb5e2be503172bfaf7b411f32d631f32908167907b346051d5e9b83a652a45"),
+    10: (99, "e320dbed0fd69882bf3d3a8895288323ea4288cdeaae0fbcee311a8f63ddcac9"),
+    11: (24, "e4ea38c72c671ae0579ad8dbdc66a2aa7670c63712270b23ec4d79a0dff73ec8"),
+    12: (4, "b690cba7375c7b22132b1a2ee1cecc73b5a30616a55ffd4ecd3ce6385ef4a857"),
+    13: (0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+}
+
+
+def test_genus_8_generators_pinned():
+    for d, (count, digest) in GENUS_8_GENERATORS.items():
+        gens = enumerate_boundary_generators(8, d)
+        assert len(gens) == count
+        assert hashlib.sha256(repr(gens).encode()).hexdigest() == digest
 
 
 def test_boundary_generator_shape():
