@@ -16,7 +16,6 @@ from .oracles import (
     count_comb_linear_extensions,
     count_lemma_tool,
     count_main_claim,
-    multiset_permutations,
 )
 from .partitions import (
     automorphism_count,

@@ -7,9 +7,19 @@ no counting shortcuts, so agreement with the formula path is real
 evidence.  Inputs are hard-bounded by total symbol count; the default
 bound keeps every call at a few seconds.
 
-Symbols are tuples ``(family_tag, kind_index)`` for indistinguishable
-copies, or ``(family_tag, kind_index, ordinal)`` where the
-interpretation distinguishes copies of one kind.
+Every oracle is one count of the linear extensions of a poset on
+numbered symbols.  The copies of one kind form a chain, so a multiset
+word is a linear extension of disjoint chains; comb-like kinds keep
+their comb relations.  Every adjacency rule is a set of forbidden
+(previous, next) symbol pairs, and some counts also forbid given
+symbols in the last place.  ``_count`` backtracks over the linear
+extensions (Knuth and Szwarcfiter, "A structured program to generate
+all topological sorting arrangements", IPL 2, 1974): a symbol is placed
+once all its predecessors are placed and the pair it makes with the
+previous symbol is allowed, so no bad prefix is ever extended and each
+counted word is one leaf of the search, visited once.  The search keeps
+only a bitmask of placed symbols and the last symbol; no memo, table or
+word list is kept over its states.
 """
 
 from fractions import Fraction
@@ -25,37 +35,47 @@ def _check_bound(n, max_symbols):
         )
 
 
-def multiset_permutations(word):
-    """All distinct arrangements of a multiset, by lexicographic successor."""
-    items = sorted(word)
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    while True:
-        yield tuple(items)
-        i = n - 2
-        while i >= 0 and not items[i] < items[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while not items[i] < items[j]:
-            j -= 1
-        items[i], items[j] = items[j], items[i]
-        items[i + 1:] = items[:i:-1]
+def _chain(preds, size):
+    """Append `size` symbols, each above the one before; return their indices."""
+    first = len(preds)
+    preds.extend(1 << (first + k - 1) if k else 0 for k in range(size))
+    return list(range(first, first + size))
 
 
-def _last_first_adjacencies(word, copies):
-    """Kind pairs (a, b) where the last copy of a immediately precedes the first copy of b."""
-    seen = {}
-    pairs = []
-    for pos in range(len(word) - 1):
-        a, b = word[pos], word[pos + 1]
-        seen[a] = seen.get(a, 0) + 1
-        if seen[a] == copies[a] and seen.get(b, 0) == 0:
-            pairs.append((a, b))
-    return pairs
+def _comb(preds, m):
+    """Append s_1..s_{2m+1}: odd chain increasing, each even below the next odd."""
+    first = len(preds)
+    for k in range(2 * m + 1):
+        # s_{k+1} for even k >= 2 lies above s_{k-1} and s_k
+        preds.append(3 << (first + k - 2) if k >= 2 and k % 2 == 0 else 0)
+    return list(range(first, first + 2 * m + 1))
+
+
+def _mask(symbols):
+    return sum(1 << s for s in symbols)
+
+
+def _count(preds, bad, no_last=0):
+    """Words placing every symbol s after the symbols of the bitmask
+    `preds[s]`, with no symbol b right after a symbol a whose `bad[a]`
+    has bit b, and no symbol of the bitmask `no_last` in the last place."""
+    full = (1 << len(preds)) - 1
+    bad = bad + [0]  # the empty prefix, last = -1, forbids nothing
+
+    def extend(placed, last):
+        if placed == full:
+            return 0 if last >= 0 and no_last >> last & 1 else 1
+        total = 0
+        free = full & ~placed & ~bad[last]
+        while free:
+            bit = free & -free
+            free ^= bit
+            s = bit.bit_length() - 1
+            if preds[s] & placed == preds[s]:
+                total += extend(placed | bit, s)
+        return total
+
+    return extend(0, -1)
 
 
 def count_lemma_tool(sigma, tau=(), order=None, max_symbols=DEFAULT_MAX_SYMBOLS):
@@ -71,27 +91,19 @@ def count_lemma_tool(sigma, tau=(), order=None, max_symbols=DEFAULT_MAX_SYMBOLS)
     _check_bound(sum(sigma) + len(sigma) + sum(tau), max_symbols)
     if order is None:
         order = range(len(sigma))
-    rank = {("s", i): pos for pos, i in enumerate(order)}
+    rank = {i: pos for pos, i in enumerate(order)}
     if len(rank) != len(sigma):
         raise ValueError("order must be a permutation of the sigma indices")
-    word0 = []
-    copies = {}
-    for i, s in enumerate(sigma):
-        copies[("s", i)] = s + 1
-        word0 += [("s", i)] * (s + 1)
-    for j, t in enumerate(tau):
-        copies[("t", j)] = t
-        word0 += [("t", j)] * t
-    total = 0
-    for word in multiset_permutations(word0):
-        good = True
-        for a, b in _last_first_adjacencies(word, copies):
-            if a in rank and b in rank and not rank[a] < rank[b]:
-                good = False
-                break
-        if good:
-            total += 1
-    return total
+    preds = []
+    s_kinds = [_chain(preds, s + 1) for s in sigma]
+    for t in tau:
+        _chain(preds, t)
+    bad = [0] * len(preds)
+    for i, a in enumerate(s_kinds):
+        for j, b in enumerate(s_kinds):
+            if i in rank and j in rank and rank[i] > rank[j]:
+                bad[a[-1]] |= 1 << b[0]
+    return _count(preds, bad)
 
 
 def count_main_claim(lam, tau=(), rho=(), max_symbols=DEFAULT_MAX_SYMBOLS):
@@ -111,70 +123,25 @@ def count_main_claim(lam, tau=(), rho=(), max_symbols=DEFAULT_MAX_SYMBOLS):
     lam, tau, rho = tuple(lam), tuple(tau), tuple(rho)
     n = sum(lam) + len(lam) + sum(tau) + len(tau) + sum(rho)
     _check_bound(n, max_symbols)
-    word0 = []
-    copies = {}
-    for i, v in enumerate(lam):
-        copies[("l", i)] = v + 1
-        word0 += [("l", i)] * (v + 1)
-    for j, v in enumerate(tau):
-        copies[("t", j)] = v + 1
-        word0 += [("t", j)] * (v + 1)
-    for k, v in enumerate(rho):
-        copies[("r", k)] = v
-        word0 += [("r", k)] * v
-    orders = []
-    for perm_t in permutations(range(len(tau))):
-        for perm_l in permutations(range(len(lam))):
-            rank = {("t", j): pos for pos, j in enumerate(perm_t)}
-            rank.update(
-                {("l", i): len(tau) + pos for pos, i in enumerate(perm_l)}
-            )
-            orders.append(rank)
-    total = 0
-    for word in multiset_permutations(word0):
-        if not _no_l_kind_after_last(word, copies):
-            continue
-        pairs = [
-            (a, b)
-            for a, b in _last_first_adjacencies(word, copies)
-            if a[0] in "lt" and b[0] in "lt"
-        ]
-        for rank in orders:
-            if all(rank[a] < rank[b] for a, b in pairs):
-                total += 1
-    return Fraction(total, len(orders))
-
-
-def _no_l_kind_after_last(word, copies):
-    # the last copy of an l-kind must not precede any l-kind symbol
-    seen = {}
-    for pos in range(len(word) - 1):
-        a, b = word[pos], word[pos + 1]
-        seen[a] = seen.get(a, 0) + 1
-        if a[0] == "l" and seen[a] == copies[a] and b[0] == "l":
-            return False
-    return True
-
-
-def _positions(word):
-    return {sym: pos for pos, sym in enumerate(word)}
-
-
-def _comb_ok(pos, kind_symbols):
-    """Comb relations on numbered symbols s_1..s_{2m+1}: odd chain increasing, each even below the next odd."""
-    m = (len(kind_symbols) - 1) // 2
-    for j in range(1, m + 1):
-        if not pos[kind_symbols[2 * j - 2]] < pos[kind_symbols[2 * j]]:
-            return False  # s_{2j-1} < s_{2j+1}
-        if not pos[kind_symbols[2 * j - 1]] < pos[kind_symbols[2 * j]]:
-            return False  # s_{2j} < s_{2j+1}
-    return True
-
-
-def _total_order_ok(pos, kind_symbols):
-    return all(
-        pos[a] < pos[b] for a, b in zip(kind_symbols, kind_symbols[1:])
-    )
+    preds = []
+    l_kinds = [_chain(preds, v + 1) for v in lam]
+    t_kinds = [_chain(preds, v + 1) for v in tau]
+    for v in rho:
+        _chain(preds, v)
+    l_symbols = _mask(s for kind in l_kinds for s in kind)
+    total = orders = 0
+    for perm_t in permutations(t_kinds):
+        for perm_l in permutations(l_kinds):
+            ranked = perm_t + perm_l
+            bad = [0] * len(preds)
+            for kind in l_kinds:
+                bad[kind[-1]] = l_symbols
+            for pos, a in enumerate(ranked):
+                for b in ranked[:pos]:
+                    bad[a[-1]] |= 1 << b[0]
+            total += _count(preds, bad)
+            orders += 1
+    return Fraction(total, orders)
 
 
 def count_comb_linear_extensions(pi, max_symbols=DEFAULT_MAX_SYMBOLS):
@@ -185,16 +152,10 @@ def count_comb_linear_extensions(pi, max_symbols=DEFAULT_MAX_SYMBOLS):
     """
     pi = tuple(pi)
     _check_bound(2 * sum(pi) + len(pi), max_symbols)
-    kinds = [
-        tuple(("c", i, j) for j in range(1, 2 * v + 2)) for i, v in enumerate(pi)
-    ]
-    symbols = [s for kind in kinds for s in kind]
-    total = 0
-    for word in permutations(symbols):
-        pos = _positions(word)
-        if all(_comb_ok(pos, kind) for kind in kinds):
-            total += 1
-    return total
+    preds = []
+    for v in pi:
+        _comb(preds, v)
+    return _count(preds, [0] * len(preds))
 
 
 def count_a1(lam, tau=(), max_symbols=DEFAULT_MAX_SYMBOLS):
@@ -208,31 +169,14 @@ def count_a1(lam, tau=(), max_symbols=DEFAULT_MAX_SYMBOLS):
     """
     lam, tau = tuple(lam), tuple(tau)
     _check_bound(sum(lam) + len(lam) + sum(tau) + len(tau), max_symbols)
-    word0 = []
-    copies = {}
-    for i, v in enumerate(lam):
-        copies[("l", i)] = v + 1
-        word0 += [("l", i)] * (v + 1)
-    for j, v in enumerate(tau):
-        copies[("t", j)] = v + 1
-        word0 += [("t", j)] * (v + 1)
-    total = 0
-    for word in multiset_permutations(word0):
-        if _a1_successor_ok(word, copies):
-            total += 1
-    return total
-
-
-def _a1_successor_ok(word, copies):
-    seen = {}
-    for pos, a in enumerate(word):
-        seen[a] = seen.get(a, 0) + 1
-        if a[0] == "l" and seen[a] == copies[a] and pos + 1 < len(word):
-            b = word[pos + 1]
-            # successor must be a t-kind copy other than that kind's first
-            if b[0] != "t" or seen.get(b, 0) == 0:
-                return False
-    return True
+    preds = []
+    l_kinds = [_chain(preds, v + 1) for v in lam]
+    t_kinds = [_chain(preds, v + 1) for v in tau]
+    successors = _mask(s for kind in t_kinds for s in kind[1:])
+    bad = [0] * len(preds)
+    for kind in l_kinds:
+        bad[kind[-1]] = ~successors
+    return _count(preds, bad)
 
 
 def count_a4(sigma, tau=(), r=None, max_symbols=DEFAULT_MAX_SYMBOLS):
@@ -251,34 +195,15 @@ def count_a4(sigma, tau=(), r=None, max_symbols=DEFAULT_MAX_SYMBOLS):
         raise ValueError("r must equal the size of tau")
     n = 2 * sum(tau) + len(tau) + 2 * sum(sigma) + len(sigma) + 1
     _check_bound(n, max_symbols)
-    t_kinds = [
-        tuple(("t", i, j) for j in range(1, 2 * v + 2)) for i, v in enumerate(tau)
-    ]
-    s_kinds = [
-        tuple(("s", i, j) for j in range(1, 2 * v + 2)) for i, v in enumerate(sigma)
-    ]
-    end = ("end",)
-    targets = {sym for kind in t_kinds for sym in kind[1::2]}  # even ordinals
-    targets.add(end)
-    symbols = [s for kind in t_kinds + s_kinds for s in kind] + [end]
-    total = 0
-    for word in permutations(symbols):
-        pos = _positions(word)
-        if not all(_comb_ok(pos, kind) for kind in t_kinds):
-            continue
-        if not all(_total_order_ok(pos, kind) for kind in s_kinds):
-            continue
-        if _last_successors_in(word, pos, s_kinds, targets):
-            total += 1
-    return total
-
-
-def _last_successors_in(word, pos, s_kinds, targets):
+    preds = []
+    t_kinds = [_comb(preds, v) for v in tau]
+    s_kinds = [_chain(preds, 2 * v + 1) for v in sigma]
+    end = _chain(preds, 1)
+    targets = _mask([s for kind in t_kinds for s in kind[1::2]] + end)
+    bad = [0] * len(preds)
     for kind in s_kinds:
-        p = pos[kind[-1]]
-        if p + 1 >= len(word) or word[p + 1] not in targets:
-            return False
-    return True
+        bad[kind[-1]] = ~targets
+    return _count(preds, bad, _mask(kind[-1] for kind in s_kinds))
 
 
 def count_b2(sigma, tau=(), max_symbols=DEFAULT_MAX_SYMBOLS):
@@ -292,26 +217,12 @@ def count_b2(sigma, tau=(), max_symbols=DEFAULT_MAX_SYMBOLS):
     sigma, tau = tuple(sigma), tuple(tau)
     n = 2 * sum(tau) + len(tau) + 2 * sum(sigma) + len(sigma) + 1
     _check_bound(n, max_symbols)
-    t_kinds = [
-        tuple(("t", i, j) for j in range(1, 2 * v + 2)) for i, v in enumerate(tau)
-    ]
-    s_kinds = [
-        tuple(("s", i, j) for j in range(1, 2 * v + 2)) for i, v in enumerate(sigma)
-    ]
-    star = ("star",)
-    forbidden = {kind[0] for kind in t_kinds}
-    symbols = [s for kind in t_kinds + s_kinds for s in kind] + [star]
-    total = 0
-    for word in permutations(symbols):
-        pos = _positions(word)
-        if not all(_comb_ok(pos, kind) for kind in t_kinds + s_kinds):
-            continue
-        good = True
-        for kind in s_kinds:
-            p = pos[kind[-1]]
-            if p + 1 < len(word) and word[p + 1] in forbidden:
-                good = False
-                break
-        if good:
-            total += 1
-    return total
+    preds = []
+    t_kinds = [_comb(preds, v) for v in tau]
+    s_kinds = [_comb(preds, v) for v in sigma]
+    _chain(preds, 1)  # the star
+    firsts = _mask(kind[0] for kind in t_kinds)
+    bad = [0] * len(preds)
+    for kind in s_kinds:
+        bad[kind[-1]] = firsts
+    return _count(preds, bad)

@@ -21,6 +21,7 @@ such splits, one per target part.  ``enumerate_set_partitions`` and
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb, inf
 
 
@@ -67,24 +68,28 @@ def _generate(n, largest, length_bound):
 
 def enumerate_set_partitions(indices):
     """All set partitions of the given collection, canonically sorted."""
-    return _set_partitions(tuple(indices))
+    return _set_partitions(tuple(sorted(indices)))
 
 
 @lru_cache(maxsize=None)
 def _set_partitions(indices):
     if len(set(indices)) != len(indices):
         raise ValueError("set partition ground set has repeated elements")
+    return tuple(_canonical_partitions(indices, {}))
+
+
+def _canonical_partitions(indices, shared):
+    # in sorted order: each block of the least index, smallest first, then
+    # the partitions of what it leaves; equal blocks share one tuple
     if not indices:
-        return ((),)
+        yield ()
+        return
     head, rest = indices[0], indices[1:]
-    result = []
-    for sub in _set_partitions(rest):
-        # head joins each existing block, or starts its own
-        for i in range(len(sub)):
-            grown = tuple(sorted(sub[i] + (head,)))
-            result.append(tuple(sorted(sub[:i] + (grown,) + sub[i + 1:])))
-        result.append(tuple(sorted(sub + ((head,),))))
-    return tuple(sorted(set(result)))
+    for block in sorted((head,) + c for r in range(len(rest) + 1) for c in combinations(rest, r)):
+        block = shared.setdefault(block, block)
+        left = tuple(i for i in rest if i not in block)
+        for tail in _canonical_partitions(left, shared):
+            yield (block,) + tail
 
 
 def enumerate_refining_functions(target, source):

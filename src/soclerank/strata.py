@@ -293,29 +293,37 @@ def _walk(g, d, budgets, shapes, break_ties=True):
     A stratum with k decorations has 2g-2-d-k vertices; ``shapes(v)``
     lists their degree sequences, and each gets every stable genus
     assignment, whose decorations of total size k ``_fold`` reduces.
+    Only the (dimension, min(valence, dimension)) pairs of the
+    positive-dimension vertices reach ``_fold``, so each distinct sorted
+    tuple of them is folded once per k.
     """
     ModuliContext(g, d=d)
     found = set()
+    folded = set()
     for k in budgets:
         for degrees in shapes(2 * g - 2 - d - k):
             for genera in _genus_assignments(degrees, g, break_ties):
                 dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
-                found |= _fold(dims, degrees, k)
+                key = (tuple(sorted((m, min(n, m)) for m, n in zip(dims, degrees) if m)), k)
+                if key not in folded:
+                    folded.add(key)
+                    found |= _fold(*key)
     return found
 
 
-def _fold(dims, degrees, k):
+def _fold(vertices, k):
     """Reduced data of the decorations of total size k on one shape.
 
-    A state is (sorted nonzero (remainder, kappa, psi) triples, decorations
-    left); each vertex of positive dimension, smallest first, tries every
-    (kappa, psi) that fits, psi no longer than its valence.  Equal states
+    ``vertices`` are the sorted (dimension, psi length bound) pairs of
+    the positive-dimension vertices.  A state is (sorted nonzero
+    (remainder, kappa, psi) triples, decorations left); each vertex,
+    smallest first, tries every (kappa, psi) that fits.  Equal states
     merge, and a state is dropped once the later vertices cannot absorb
     what it has left.
     """
-    room = sum(dims)
+    room = sum(dim for dim, _ in vertices)
     states = {((), k)}
-    for dim, valence in sorted((m, n) for m, n in zip(dims, degrees) if m):
+    for dim, valence in vertices:
         room -= dim
         step = set()
         for triples, left in states:

@@ -209,30 +209,31 @@ def test_criterion_7_vanishing(capsys):
 
 def test_criterion_8_remaining_oracles(capsys):
     failures = []
-    for n in range(0, 5):
+    for n in range(0, 6):
         for pi in enumerate_partitions(n):
-            if 2 * n + len(pi) <= 9:
-                if count_comb_linear_extensions(pi) != comb_count(pi):
+            if 2 * n + len(pi) <= 11:
+                if count_comb_linear_extensions(pi, max_symbols=11) != comb_count(pi):
                     failures.append(("comb", pi))
-    for s in range(0, 4):
+    for s in range(0, 5):
         for sigma in enumerate_partitions(s):
-            for r in range(0, 4):
+            for r in range(0, 5):
                 if len(sigma) > r + 1:
                     continue
                 g = s + 2 + r
                 for tau in enumerate_partitions(r):
                     cost = 2 * (s + r) + len(sigma) + len(tau) + 1
-                    if cost > 9:
+                    if cost > 11:
                         continue
-                    if count_a4(sigma, tau, r) != eta_dprime_form(sigma, g, r)(tau):
+                    oracle = count_a4(sigma, tau, r, max_symbols=11)
+                    if oracle != eta_dprime_form(sigma, g, r)(tau):
                         failures.append(("a4", sigma, tau, r))
-    for s in range(0, 4):
+    for s in range(0, 5):
         for sigma in enumerate_partitions(s):
-            for t in range(0, 4 - s):
+            for t in range(0, 5 - s):
                 for tau in enumerate_partitions(t):
                     cost = 2 * (s + t) + len(sigma) + len(tau) + 1
-                    if cost > 9:
+                    if cost > 11:
                         continue
-                    if count_b2(sigma, tau) != mu_dprime(sigma, tau):
+                    if count_b2(sigma, tau, max_symbols=11) != mu_dprime(sigma, tau):
                         failures.append(("b2", sigma, tau))
     _report(capsys, 8, "comb, injection and star oracles match", failures)

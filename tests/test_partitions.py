@@ -64,8 +64,11 @@ def test_set_partition_counts_match_bell_triangle():
         blocks_sets = enumerate_set_partitions(range(n))
         assert len(blocks_sets) == bell[n]
         assert len(set(blocks_sets)) == bell[n]
+        assert list(blocks_sets) == sorted(blocks_sets)
         for blocks in blocks_sets:
             assert sorted(i for b in blocks for i in b) == list(range(n))
+            assert list(blocks) == sorted(blocks) and all(list(b) == sorted(b) for b in blocks)
+    assert enumerate_set_partitions((2, 0, 1)) == enumerate_set_partitions(range(3))
 
 
 def test_merge_sum_counts():
