@@ -3,7 +3,7 @@
 Everything is exact integer or rational arithmetic: partition
 combinatorics, normalized kappa-psi evaluations, boundary stratum
 enumeration, expansion coefficients in the pure-stratum basis,
-fraction-free matrix ranks, and brute-force counting oracles that
+integer-echelon matrix ranks, and brute-force counting oracles that
 cross-check every formula.  Every memo is an unbounded ``lru_cache``;
 the life of the process bounds them.
 """

@@ -91,9 +91,9 @@ def count_lemma_tool(sigma, tau=(), order=None, max_symbols=DEFAULT_MAX_SYMBOLS)
     _check_bound(sum(sigma) + len(sigma) + sum(tau), max_symbols)
     if order is None:
         order = range(len(sigma))
-    rank = {i: pos for pos, i in enumerate(order)}
-    if len(rank) != len(sigma):
+    if sorted(order) != list(range(len(sigma))):
         raise ValueError("order must be a permutation of the sigma indices")
+    rank = {i: pos for pos, i in enumerate(order)}
     preds = []
     s_kinds = [_chain(preds, s + 1) for s in sigma]
     for t in tau:
@@ -101,7 +101,7 @@ def count_lemma_tool(sigma, tau=(), order=None, max_symbols=DEFAULT_MAX_SYMBOLS)
     bad = [0] * len(preds)
     for i, a in enumerate(s_kinds):
         for j, b in enumerate(s_kinds):
-            if i in rank and j in rank and rank[i] > rank[j]:
+            if rank[i] > rank[j]:
                 bad[a[-1]] |= 1 << b[0]
     return _count(preds, bad)
 

@@ -7,8 +7,7 @@ and report every number involved so a failing cell is diagnosable.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .coeffs import eta_form, pure_row, v_form
 from .exact import fz_count, partition_count
@@ -37,50 +36,40 @@ class PairingMatrix:
             raise ValueError("every row must have one entry per partition")
 
 
-def _integer_row(row):
-    vals = [Fraction(x) for x in row]
-    scale = lcm(*(v.denominator for v in vals)) if vals else 1
-    return [int(v * scale) for v in vals]
-
-
 def exact_rank(m):
-    """Rank over the rationals, by fraction-free elimination.
+    """Rank over the rationals of a matrix of int entries.
 
-    Accepts a PairingMatrix or any sequence of rows of ints and
-    Fractions.  Each row is scaled integral first (rank-safe), then
-    reduced Bareiss style; pivots are the first nonzero entry in column
-    order, so the result is deterministic.
+    Accepts a PairingMatrix or any sequence of rows of one length whose
+    entries are ints (not bools); anything else raises ValueError.
+    Rows are reduced one at a time against the kept echelon rows, in the
+    order those were kept, by row = lead*row - head*pivot, where lead is
+    the pivot's entry at its leading column (its first nonzero one) and
+    head is the row's entry there.  Each kept row is zero at the leading
+    columns of all rows kept before it, so a nonzero remainder is
+    independent of them: it is divided by the gcd of its entries and
+    kept, and the rank is the number of rows kept.  Reduction stops once
+    the rank equals the width; later rows are still checked.
     """
     rows = m.entries if isinstance(m, PairingMatrix) else m
-    mat = [_integer_row(r) for r in rows]
-    if not mat:
-        return 0
-    width = len(mat[0])
-    if any(len(r) != width for r in mat):
-        raise ValueError("rows must all have the same length")
-    rank = 0
-    top = 0
-    prev = 1
-    for col in range(width):
-        pivot = next((i for i in range(top, len(mat)) if mat[i][col]), None)
-        if pivot is None:
+    width = len(rows[0]) if rows else 0
+    kept = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("rows must all have the same length")
+        if not set(map(type, row)) <= {int}:
+            raise ValueError("matrix entries must be ints")
+        if len(kept) == width:
             continue
-        mat[top], mat[pivot] = mat[pivot], mat[top]
-        lead = mat[top][col]
-        for i in range(top + 1, len(mat)):
-            head = mat[i][col]
-            for j in range(col + 1, width):
-                q, rem = divmod(lead * mat[i][j] - head * mat[top][j], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free step left a remainder")
-                mat[i][j] = q
-            mat[i][col] = 0
-        prev = lead
-        top += 1
-        rank += 1
-        if top == len(mat):
-            break
-    return rank
+        for col, pivot in kept:
+            head = row[col]
+            if head:
+                lead = pivot[col]
+                row = [lead * x - head * y for x, y in zip(row, pivot)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            div = gcd(*row)
+            kept.append((col, [x // div for x in row]))
+    return len(kept)
 
 
 def pure_matrix(g, d):

@@ -1,11 +1,13 @@
 """Compact-type boundary strata as decorated stable trees.
 
-A stratum is a tree of vertices carrying genera, optionally decorated
-with a kappa-exponent partition and a psi-exponent partition per
-vertex.  Its pairing row against the kappa-monomial basis depends only
-on the multiset of per-vertex data (socle remainder, kappa decoration,
-psi decoration) after dropping vertices whose socle remainder is zero;
-that multiset is the reduced boundary data.
+A stratum is a stable tree whose vertices carry genera (a
+``DecoratedTree``), optionally decorated with a kappa-exponent partition
+and a psi-exponent partition per vertex.  Its pairing row against the
+kappa-monomial basis depends only on the multiset of per-vertex data
+(socle remainder, kappa decoration, psi decoration) after dropping
+vertices whose socle remainder is zero; that multiset is the reduced
+boundary data, and it is the only form in which kappa and psi
+decorations exist here.
 
 Because the pairing row never sees the edge structure, the production
 enumeration runs over vertex-degree multisets (partitions of 2(v-1)
@@ -34,35 +36,22 @@ def _min_genus(valence):
 
 @dataclass(frozen=True)
 class DecoratedTree:
-    """A stable tree with per-vertex genus and optional decorations."""
+    """A stable tree with per-vertex genus."""
 
     genera: tuple
     edges: tuple = ()
-    kappa: tuple = None
-    psi: tuple = None
 
     def __post_init__(self):
-        n = len(self.genera)
         object.__setattr__(self, "genera", tuple(self.genera))
         object.__setattr__(
             self, "edges", tuple((min(a, b), max(a, b)) for a, b in self.edges)
         )
-        kappa = self.kappa if self.kappa is not None else ((),) * n
-        psi = self.psi if self.psi is not None else ((),) * n
-        object.__setattr__(self, "kappa", tuple(partition(p) for p in kappa))
-        object.__setattr__(self, "psi", tuple(partition(p) for p in psi))
-        if len(self.kappa) != n or len(self.psi) != n:
-            raise ValueError("decorations must list one partition per vertex")
         if any(g < 0 for g in self.genera):
             raise ValueError("vertex genera must be nonnegative")
         self._check_tree()
-        for v in range(n):
+        for v in range(len(self.genera)):
             if self.genera[v] < _min_genus(self.valence(v)):
                 raise ValueError("vertex %d violates stability" % v)
-            if len(self.psi[v]) > self.valence(v):
-                raise ValueError(
-                    "vertex %d has more psi exponents than half-edges" % v
-                )
 
     def _check_tree(self):
         n = len(self.genera)
@@ -94,12 +83,7 @@ class DecoratedTree:
 
 
 def housing_data(tree):
-    """Partition of per-vertex socle dimensions 2g(v)-3+n(v), zeros dropped.
-
-    Only defined for undecorated trees.
-    """
-    if any(tree.kappa) or any(tree.psi):
-        raise ValueError("housing data is only defined for undecorated trees")
+    """Partition of per-vertex socle dimensions 2g(v)-3+n(v), zeros dropped."""
     dims = [
         2 * tree.genera[v] - 3 + tree.valence(v) for v in range(len(tree.genera))
     ]

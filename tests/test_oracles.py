@@ -329,6 +329,14 @@ def test_lemma_tool_bound():
         count_lemma_tool((5, 4), (3, 3), max_symbols=9)
 
 
+def test_lemma_tool_rejects_non_permutation_order():
+    # distinct entries of the right count are not enough: (0, 5) once
+    # counted 6 words for theta((1, 1)) = 5
+    for order in ((0, 5), (0, 0), (1,)):
+        with pytest.raises(ValueError, match="permutation of the sigma indices"):
+            count_lemma_tool((1, 1), (), order)
+
+
 def test_main_claim_pinned_values():
     assert count_main_claim((1, 1)) == 0
     assert count_main_claim((2,)) == 1

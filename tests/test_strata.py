@@ -30,16 +30,11 @@ def test_tree_validation():
         DecoratedTree((0,))  # isolated vertex needs genus 2
     with pytest.raises(ValueError):
         DecoratedTree((1, 0), ((0, 1),))  # leaf needs genus 1
-    with pytest.raises(ValueError):
-        DecoratedTree((2,), psi=((1,),))  # psi length above valence 0
-    with pytest.raises(ValueError):
-        DecoratedTree((2, 2), ((0, 1),), kappa=(((1,)),))  # one entry short
 
 
 def test_tree_normalization():
     tree = DecoratedTree((1, 1), ((1, 0),))
     assert tree.edges == ((0, 1),)
-    assert tree.kappa == ((), ()) and tree.psi == ((), ())
     assert tree.genus == 2
     assert tree.valence(0) == 1
 
@@ -49,8 +44,6 @@ def test_housing_data_examples():
     assert housing_data(DecoratedTree((2, 1), ((0, 1),))) == (2,)
     chain = DecoratedTree((1, 1, 1), ((0, 1), (1, 2)))
     assert housing_data(chain) == (1,)
-    with pytest.raises(ValueError):
-        housing_data(DecoratedTree((2, 2), ((0, 1),), kappa=((1,), ())))
 
 
 def test_is_housing_partition_examples():
