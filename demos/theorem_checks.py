@@ -10,10 +10,9 @@ is exact integer arithmetic; a report is a small dict with an ok flag.
 
 from soclerank import (
     betti_report,
+    boundary_rows,
     exact_rank,
-    full_matrix,
     housing_rank_formula,
-    pure_matrix,
     verify_housing_theorem,
     verify_length_restriction,
     verify_rank_theorem,
@@ -22,8 +21,10 @@ from soclerank import (
 
 # one cell in detail: genus 5, degree 4
 g, d = 5, 4
-print("pure matrix rank:    ", exact_rank(pure_matrix(g, d)))
-print("full matrix rank:    ", exact_rank(full_matrix(g, d)))
+# the pure strata rows, then the decorated ones, ranked in one pass
+rank_pure, rank_full = exact_rank(*boundary_rows(g, d))
+print("pure matrix rank:    ", rank_pure)
+print("full matrix rank:    ", rank_full)
 print("counting formula:    ", housing_rank_formula(g, d))
 print("report:", verify_housing_theorem(g, d))
 

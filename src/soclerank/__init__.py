@@ -3,9 +3,9 @@
 Everything is exact integer or rational arithmetic: partition
 combinatorics, normalized kappa-psi evaluations, boundary stratum
 enumeration, expansion coefficients in the pure-stratum basis,
-integer-echelon matrix ranks, and brute-force counting oracles that
-cross-check every formula.  Every memo is an unbounded ``lru_cache``;
-the life of the process bounds them.
+integer-echelon ranks of nested row blocks in one pass, and brute-force
+counting oracles that cross-check every formula.  Every memo is an
+unbounded ``lru_cache``; the life of the process bounds them.
 """
 
 from .exact import comb_count, double_factorial, factorial, format_scalar, fz_count, multinomial, parse_scalar
@@ -43,7 +43,6 @@ from .strata import (
     DecoratedTree,
     build_housing_tree,
     enumerate_boundary_generators,
-    enumerate_labeled_trees,
     enumerate_pure_housing_partitions,
     housing_data,
     is_housing_partition,
@@ -66,15 +65,12 @@ from .coeffs import (
     verify_triangular_identity,
 )
 from .ranks import (
-    PairingMatrix,
     betti_report,
+    boundary_rows,
     eta_matrix,
     exact_rank,
-    full_matrix,
-    housing_m_matrix,
     housing_rank_formula,
     kappa_row,
-    pure_matrix,
     smooth_matrix,
     verify_housing_theorem,
     verify_length_restriction,

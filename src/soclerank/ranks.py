@@ -1,88 +1,73 @@
 """Exact matrix ranks and the theorem-level verification reports.
 
-The two main verifiers build pairing matrices whose rows are boundary
-stratum forms (columns indexed by P(d) in canonical order) or socle
-integrals of the smooth locus, compute their ranks over the rationals,
-and report every number involved so a failing cell is diagnosable.
+The verifiers build pairing rows, boundary stratum forms (columns
+indexed by P(d) in canonical order) or socle integrals of the smooth
+locus, and rank nested blocks of them over the rationals in one pass
+each, reporting every number involved so a failing cell is diagnosable.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
-from .coeffs import eta_form, pure_row, v_form
+from .coeffs import eta_form, v_form
 from .exact import fz_count, partition_count
 from .partitions import enumerate_partitions, partition
 from .socle import mu
-from .strata import (
-    enumerate_boundary_generators,
-    enumerate_pure_housing_partitions,
-    is_housing_partition,
-)
+from .strata import enumerate_boundary_generators
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
-    """Rows labeled by class descriptors, columns by P(degree)."""
+def exact_rank(rows, *more):
+    """Rank over the rationals of int rows, or the ranks of nested row blocks.
 
-    row_labels: tuple
-    degree: int
-    entries: tuple
-
-    def __post_init__(self):
-        width = len(enumerate_partitions(self.degree))
-        if len(self.entries) != len(self.row_labels):
-            raise ValueError("need one row per label")
-        if any(len(row) != width for row in self.entries):
-            raise ValueError("every row must have one entry per partition")
-
-
-def exact_rank(m):
-    """Rank over the rationals of a matrix of int entries.
-
-    Accepts a PairingMatrix or any sequence of rows of one length whose
-    entries are ints (not bools); anything else raises ValueError.
-    Rows are reduced one at a time against the kept echelon rows, in the
-    order those were kept, by row = lead*row - head*pivot, where lead is
-    the pivot's entry at its leading column (its first nonzero one) and
-    head is the row's entry there.  Each kept row is zero at the leading
-    columns of all rows kept before it, so a nonzero remainder is
-    independent of them: it is divided by the gcd of its entries and
-    kept, and the rank is the number of rows kept.  Reduction stops once
-    the rank equals the width; later rows are still checked.
+    With one block of rows the result is its rank; with more, the tuple
+    of the ranks of block 1, of blocks 1-2, and so on, from one echelon
+    pass over the blocks in order.  Every row must have the width of the
+    first row of the first nonempty block and int entries (not bools);
+    anything else raises ValueError.  Rows are reduced one at a time
+    against the kept echelon rows, in the order those were kept, by
+    row = lead*row - head*pivot, where lead is the pivot's entry at its
+    leading column (its first nonzero one) and head is the row's entry
+    there.  Each kept row is zero at the leading columns of all rows
+    kept before it, so a nonzero remainder is independent of them: it is
+    divided by the gcd of its entries and kept, and the rank is the
+    number of rows kept.  Reduction stops once the rank equals the
+    width; later rows are still checked.
     """
-    rows = m.entries if isinstance(m, PairingMatrix) else m
-    width = len(rows[0]) if rows else 0
+    blocks = (rows,) + more
+    width = next((len(block[0]) for block in blocks if block), 0)
     kept = []
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("rows must all have the same length")
-        if not set(map(type, row)) <= {int}:
-            raise ValueError("matrix entries must be ints")
-        if len(kept) == width:
-            continue
-        for col, pivot in kept:
-            head = row[col]
-            if head:
-                lead = pivot[col]
-                row = [lead * x - head * y for x, y in zip(row, pivot)]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is not None:
-            div = gcd(*row)
-            kept.append((col, [x // div for x in row]))
-    return len(kept)
+    ranks = []
+    for block in blocks:
+        for row in block:
+            if len(row) != width:
+                raise ValueError("rows must all have the same length")
+            if not set(map(type, row)) <= {int}:
+                raise ValueError("matrix entries must be ints")
+            if len(kept) == width:
+                continue
+            for col, pivot in kept:
+                head = row[col]
+                if head:
+                    lead = pivot[col]
+                    row = [lead * x - head * y for x, y in zip(row, pivot)]
+            col = next((j for j, x in enumerate(row) if x), None)
+            if col is not None:
+                div = gcd(*row)
+                kept.append((col, [x // div for x in row]))
+        ranks.append(len(kept))
+    return tuple(ranks) if more else ranks[0]
 
 
-def pure_matrix(g, d):
-    """Rows: pairing forms of the pure boundary strata of (g, d)."""
-    labels = tuple(sorted(enumerate_pure_housing_partitions(g, d)))
-    return PairingMatrix(labels, d, tuple(pure_row(sigma).values for sigma in labels))
+def boundary_rows(g, d):
+    """Rows on P(d) of every reduced boundary generator of (g, d), in two blocks.
 
-
-def full_matrix(g, d):
-    """Rows: pairing forms of every reduced boundary generator of (g, d)."""
-    labels = enumerate_boundary_generators(g, d)
-    rows = tuple(v_form(data, d).values for data in labels)
-    return PairingMatrix(labels, d, rows)
+    The first block holds the undecorated generators, which are exactly
+    the pure boundary strata; the second holds the decorated ones.
+    """
+    pure, decorated = [], []
+    for data in enumerate_boundary_generators(g, d):
+        block = decorated if any(kap or psi for _, kap, psi in data) else pure
+        block.append(v_form(data, d).values)
+    return pure, decorated
 
 
 def kappa_row(tau, d):
@@ -90,28 +75,18 @@ def kappa_row(tau, d):
     return v_form(((d, partition(tau), ()),), d)
 
 
-def housing_m_matrix(g, d):
-    """Unnormalized pure-basis rows at the housing partitions of (g, d)."""
-    labels = tuple(
-        lam for lam in enumerate_partitions(d) if is_housing_partition(lam, g, d)
-    )
-    return PairingMatrix(labels, d, tuple(pure_row(lam).values for lam in labels))
-
-
 def smooth_matrix(g, r, max_length=None):
     """Socle integrals of the smooth locus: rows sigma in P(g-2-r), columns P(r)."""
-    sigmas = enumerate_partitions(g - 2 - r, max_length)
     taus = enumerate_partitions(r)
-    rows = tuple(tuple(mu(s, t) for t in taus) for s in sigmas)
-    return PairingMatrix(sigmas, r, rows)
+    return tuple(tuple(mu(s, t) for t in taus)
+                 for s in enumerate_partitions(g - 2 - r, max_length))
 
 
 def eta_matrix(g, r):
     """Rows eta_sigma over sigma in P(g-2-r, r+1), columns P(r)."""
-    sigmas = enumerate_partitions(g - 2 - r, r + 1)
     taus = enumerate_partitions(r)
-    rows = tuple(tuple(eta_form(s, g, r)(t) for t in taus) for s in sigmas)
-    return PairingMatrix(sigmas, r, rows)
+    return tuple(tuple(eta_form(s, g, r)(t) for t in taus)
+                 for s in enumerate_partitions(g - 2 - r, r + 1))
 
 
 def housing_rank_formula(g, d):
@@ -131,8 +106,7 @@ def verify_housing_theorem(g, d):
     """Ranks of the pure and full boundary matrices against the counting formula."""
     if 2 * g - 3 - d < 1:
         raise ValueError("need 2g-3-d >= 1")
-    rank_pure = exact_rank(pure_matrix(g, d))
-    rank_full = exact_rank(full_matrix(g, d))
+    rank_pure, rank_full = exact_rank(*boundary_rows(g, d))
     formula = housing_rank_formula(g, d)
     return {
         "rank_pure": rank_pure,
@@ -147,10 +121,9 @@ def verify_rank_theorem(g, r):
     if not 0 <= r <= g - 2:
         raise ValueError("need 0 <= r <= g-2")
     d = 2 * g - 3 - r
-    boundary = full_matrix(g, d)
-    kappa_rows = tuple(kappa_row(tau, d).values for tau in enumerate_partitions(r))
-    rank_boundary = exact_rank(boundary)
-    rank_stacked = exact_rank(tuple(boundary.entries) + kappa_rows)
+    pure, decorated = boundary_rows(g, d)
+    kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)]
+    _, rank_boundary, rank_stacked = exact_rank(pure, decorated, kappa)
     rank_smooth = exact_rank(smooth_matrix(g, r))
     return {
         "rank_stacked": rank_stacked,
@@ -162,11 +135,9 @@ def verify_rank_theorem(g, r):
 
 def verify_span_equality(g, r):
     """Equal row spaces of the eta matrix and the length-restricted mu matrix."""
-    a = eta_matrix(g, r)
-    b = smooth_matrix(g, r, max_length=r + 1)
-    rank_eta = exact_rank(a)
-    rank_mu = exact_rank(b)
-    rank_stack = exact_rank(tuple(a.entries) + tuple(b.entries))
+    short = smooth_matrix(g, r, max_length=r + 1)
+    rank_eta, rank_stack = exact_rank(eta_matrix(g, r), short)
+    rank_mu = exact_rank(short)
     return {
         "rank_eta": rank_eta,
         "rank_mu": rank_mu,
@@ -177,8 +148,8 @@ def verify_span_equality(g, r):
 
 def verify_length_restriction(g, r):
     """Dropping mu rows of length above r+1 must not lower the rank."""
-    rank_all = exact_rank(smooth_matrix(g, r))
-    rank_short = exact_rank(smooth_matrix(g, r, max_length=r + 1))
+    rank_short, rank_all = exact_rank(smooth_matrix(g, r, max_length=r + 1),
+                                      smooth_matrix(g, r))
     return {
         "rank_all_lengths": rank_all,
         "rank_short": rank_short,

@@ -9,16 +9,14 @@ vertices whose socle remainder is zero; that multiset is the reduced
 boundary data, and it is the only form in which kappa and psi
 decorations exist here.
 
-Because the pairing row never sees the edge structure, the production
-enumeration runs over vertex-degree multisets (partitions of 2(v-1)
-into v positive parts) and their genus assignments, and reduces the
-decorations of each such shape in one deduplicating fold over its
-vertices instead of listing them; the labeled-tree route via Pruefer
-sequences is kept as a self-checkable cross reference.
+Because the pairing row never sees the edge structure, the enumeration
+runs over vertex-degree multisets (partitions of 2(v-1) into v positive
+parts) and their genus assignments, and reduces the decorations of each
+such shape in one deduplicating fold over its vertices instead of
+listing them.
 """
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .partitions import enumerate_partitions, partition
@@ -144,37 +142,6 @@ def build_housing_tree(sigma, g, d):
     return tree
 
 
-def enumerate_labeled_trees(n):
-    """Edge sets of all labeled trees on n vertices, via Pruefer sequences."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if n == 1:
-        return ((),)
-    if n == 2:
-        return (((0, 1),),)
-    return tuple(
-        _prufer_decode(seq, n) for seq in product(range(n), repeat=n - 2)
-    )
-
-
-def _prufer_decode(seq, n):
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heappush(leaves, x)
-    a, b = heappop(leaves), heappop(leaves)
-    edges.append((min(a, b), max(a, b)))
-    return tuple(edges)
-
-
 def tree_degree_multisets(v):
     """Degree multisets of trees on v vertices, weakly decreasing.
 
@@ -191,13 +158,11 @@ def tree_degree_multisets(v):
     )
 
 
-def _genus_assignments(degrees, g, break_ties=True):
-    """Genus tuples along a degree sequence.
+def _genus_assignments(degrees, g):
+    """Genus tuples along a weakly decreasing degree sequence.
 
-    Stability per vertex, total genus g.  With ``break_ties`` the degrees
-    must be weakly decreasing, and within a run of equal degrees the
-    genera are forced weakly decreasing to skip permuted repeats; without
-    it every composition is listed, as the labeled-tree route needs.
+    Stability per vertex, total genus g.  Within a run of equal degrees
+    the genera are forced weakly decreasing to skip permuted repeats.
     """
     n = len(degrees)
     min_tail = [0] * (n + 1)
@@ -212,7 +177,7 @@ def _genus_assignments(degrees, g, break_ties=True):
             return
         lo = _min_genus(degrees[i])
         hi = remaining - min_tail[i + 1]
-        if break_ties and i > 0 and degrees[i] == degrees[i - 1]:
+        if i > 0 and degrees[i] == degrees[i - 1]:
             hi = min(hi, acc[-1])
         for gi in range(lo, hi + 1):
             acc.append(gi)
@@ -231,7 +196,7 @@ def enumerate_pure_housing_partitions(g, d):
     the single undecorated vertex itself is the only stratum.
     """
     return frozenset(partition(m for m, _, _ in data)
-                     for data in _walk(g, d, (0,), tree_degree_multisets))
+                     for data in _walk(g, d, (0,)))
 
 
 def enumerate_boundary_generators(g, d):
@@ -245,38 +210,15 @@ def enumerate_boundary_generators(g, d):
     the row span unchanged.
     Output is deduplicated and canonically sorted.
     """
-    return tuple(sorted(_walk(g, d, range(0, 2 * g - 3 - d), tree_degree_multisets)))
+    return tuple(sorted(_walk(g, d, range(0, 2 * g - 3 - d))))
 
 
-def boundary_generators_via_labeled_trees(g, d):
-    """Slow cross-check: the same reduced data set from labeled trees.
-
-    Walks the valence sequences of Pruefer-coded labeled trees with
-    every genus composition, not just the weakly decreasing ones; must
-    agree with enumerate_boundary_generators on small inputs.
-    """
-    return tuple(sorted(_walk(g, d, range(0, 2 * g - 3 - d), _labeled_valences,
-                              break_ties=False)))
-
-
-def _labeled_valences(v):
-    # the valence sequences of the labeled trees, each once
-    valences = set()
-    for edges in enumerate_labeled_trees(v):
-        valence = [0] * v
-        for a, b in edges:
-            valence[a] += 1
-            valence[b] += 1
-        valences.add(tuple(valence))
-    return valences
-
-
-def _walk(g, d, budgets, shapes, break_ties=True):
+def _walk(g, d, budgets):
     """Reduced data of the strata with k decorations, for each k in ``budgets``.
 
-    A stratum with k decorations has 2g-2-d-k vertices; ``shapes(v)``
-    lists their degree sequences, and each gets every stable genus
-    assignment, whose decorations of total size k ``_fold`` reduces.
+    A stratum with k decorations has 2g-2-d-k vertices; each of their
+    degree multisets gets every stable genus assignment, whose
+    decorations of total size k ``_fold`` reduces.
     Only the (dimension, min(valence, dimension)) pairs of the
     positive-dimension vertices reach ``_fold``, so each distinct sorted
     tuple of them is folded once per k.
@@ -285,8 +227,8 @@ def _walk(g, d, budgets, shapes, break_ties=True):
     found = set()
     folded = set()
     for k in budgets:
-        for degrees in shapes(2 * g - 2 - d - k):
-            for genera in _genus_assignments(degrees, g, break_ties):
+        for degrees in tree_degree_multisets(2 * g - 2 - d - k):
+            for genera in _genus_assignments(degrees, g):
                 dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
                 key = (tuple(sorted((m, min(n, m)) for m, n in zip(dims, degrees) if m)), k)
                 if key not in folded:

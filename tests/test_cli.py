@@ -11,6 +11,9 @@ import pytest
 import soclerank.cli as cli
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -190,6 +193,19 @@ def test_verify_all_csv(capsys):
     assert housing["rank_stacked"] == ""
 
 
+def test_verify_all_matches_reference_grid(capsys):
+    # every reported number of the g <= 7 grid, against the reference
+    # CSV that the benchmark checks its grid-g7 passes with
+    ref = ROOT / "perfbench" / "ref" / "grid-g7.csv"
+    code, out, _ = run(
+        capsys, ["verify", "all", "--max-g", "7", "--jobs", "1", "--format", "csv"]
+    )
+    assert code == 0
+    expected = list(csv.reader(io.StringIO(ref.read_text())))
+    assert len(expected) == 58
+    assert list(csv.reader(io.StringIO(out))) == expected
+
+
 def test_verify_all_parallel(capsys):
     code, out, _ = run(capsys, ["verify", "all", "--max-g", "3", "--jobs", "2"])
     assert code == 0
@@ -262,6 +278,18 @@ def test_recursion_error_exits_two(capsys):
         code, out, err = run(capsys, ["theta", "--sigma", json.dumps([1] * 400)])
     finally:
         sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("sigma", [list(range(16, 0, -1)), [1] * 480],
+                         ids=["16-distinct-parts", "480-ones"])
+def test_kernel_work_bound_exits_two(capsys, sigma):
+    # past the set-partition kernel's work bound theta answers at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["theta", "--sigma", json.dumps(sigma)])
+    assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")

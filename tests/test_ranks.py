@@ -4,22 +4,25 @@ from math import lcm
 
 import pytest
 
+from soclerank.coeffs import pure_row, v_form
 from soclerank.partitions import enumerate_partitions
 from soclerank.ranks import (
-    PairingMatrix,
     betti_report,
+    boundary_rows,
     eta_matrix,
     exact_rank,
-    full_matrix,
-    housing_m_matrix,
     housing_rank_formula,
     kappa_row,
-    pure_matrix,
     smooth_matrix,
     verify_housing_theorem,
     verify_length_restriction,
     verify_rank_theorem,
     verify_span_equality,
+)
+from soclerank.strata import (
+    enumerate_boundary_generators,
+    enumerate_pure_housing_partitions,
+    is_housing_partition,
 )
 
 
@@ -50,15 +53,14 @@ def _integer_row(row):
     return [int(v * scale) for v in vals]
 
 
-def _bareiss_rank(m):
+def _bareiss_rank(rows):
     """Rank over the rationals, by fraction-free elimination.
 
-    Accepts a PairingMatrix or any sequence of rows of ints and
-    Fractions.  Each row is scaled integral first (rank-safe), then
-    reduced Bareiss style; pivots are the first nonzero entry in column
-    order, so the result is deterministic.
+    Accepts any sequence of rows of ints and Fractions.  Each row is
+    scaled integral first (rank-safe), then reduced Bareiss style;
+    pivots are the first nonzero entry in column order, so the result
+    is deterministic.
     """
-    rows = m.entries if isinstance(m, PairingMatrix) else m
     mat = [_integer_row(r) for r in rows]
     if not mat:
         return 0
@@ -111,7 +113,9 @@ def test_exact_rank_examples():
     assert exact_rank([]) == 0
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[], []]) == 0
-    assert exact_rank(PairingMatrix(((2,), (1, 1)), 2, ((1, 5), (2, 10)))) == 1
+    assert exact_rank([[1, 2]], [[2, 4]], [[0, 1]]) == (1, 1, 2)
+    assert exact_rank([], [], [[1, 2], [2, 4]]) == (0, 0, 1)
+    assert exact_rank([], []) == (0, 0)
 
 
 def test_exact_rank_rejects_bad_rows():
@@ -154,40 +158,57 @@ def test_exact_rank_matches_gauss_oracle():
         assert exact_rank(extra) == _gauss_rank(extra)
 
 
-def _grid_matrices(max_g):
-    # every pure, full, stacked, smooth and eta matrix the verifiers rank
+def test_exact_rank_blocks_match_gauss_on_prefixes():
+    # the rank after each block is the rank of the stacked prefix
+    rng = random.Random(202)
+    for _ in range(200):
+        m = rng.randrange(1, 7)
+        blocks = [_random_matrix(rng, rng.randrange(0, 6), m) for _ in range(3)]
+        if rng.random() < 0.2:
+            blocks[0] = []
+        expected = tuple(_gauss_rank(sum(blocks[:i], [])) for i in (1, 2, 3))
+        assert exact_rank(*blocks) == expected
+        assert exact_rank(*blocks[:2]) == expected[:2]
+        assert exact_rank(blocks[0]) == expected[0]
+    # a bad row in a later block, after the rank reached the width
+    identity = [[1, 0], [0, 1]]
+    for bad in ([1, 2, 3], [1], [Fraction(1, 2), 1], [True, 0], [1, 2.0]):
+        with pytest.raises(ValueError):
+            exact_rank(identity, [[3, 4]], [bad])
+        with pytest.raises(ValueError):
+            exact_rank([], identity, [[0, 1], bad])
+
+
+def _grid_blocks(max_g):
+    # every nested row-block sequence the verifiers rank: pure, then
+    # decorated boundary rows (then kappa rows in the rank cells);
+    # smooth; short smooth; eta, then short smooth
     for g in range(2, max_g + 1):
         for d in range(0, 2 * g - 3):
-            yield pure_matrix(g, d)
-            yield full_matrix(g, d)
+            yield boundary_rows(g, d)
         for r in range(0, g - 1):
             d = 2 * g - 3 - r
-            boundary = full_matrix(g, d)
-            kappa_rows = tuple(kappa_row(tau, d).values for tau in enumerate_partitions(r))
-            yield boundary
-            yield tuple(boundary.entries) + kappa_rows
-            eta = eta_matrix(g, r)
+            kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)]
             short = smooth_matrix(g, r, max_length=r + 1)
-            yield smooth_matrix(g, r)
-            yield short
-            yield eta
-            yield tuple(eta.entries) + tuple(short.entries)
+            yield boundary_rows(g, d) + (kappa,)
+            yield (smooth_matrix(g, r),)
+            yield (short,)
+            yield (eta_matrix(g, r), short)
 
 
 def test_exact_rank_matches_bareiss_on_grid():
+    # each block prefix is one matrix: its rank from the block form, from
+    # the one-block form and from the Bareiss reference agree
     count = 0
-    for matrix in _grid_matrices(7):
-        assert exact_rank(matrix) == _bareiss_rank(matrix)
-        count += 1
-    assert count == 198
-
-
-def test_pairing_matrix_validation():
-    PairingMatrix(((2,), (1, 1)), 2, ((1, 5), (0, 1)))
-    with pytest.raises(ValueError):
-        PairingMatrix(((2,),), 2, ((1,),))
-    with pytest.raises(ValueError):
-        PairingMatrix(((2,),), 2, ((1, 5), (0, 1)))
+    for blocks in _grid_blocks(7):
+        ranks = exact_rank(*blocks)
+        ranks = ranks if len(blocks) > 1 else (ranks,)
+        rows = []
+        for block, rank in zip(blocks, ranks):
+            rows += block
+            assert rank == exact_rank(rows) == _bareiss_rank(rows)
+            count += 1
+    assert count == 219
 
 
 def test_housing_rank_formula_examples():
@@ -242,23 +263,34 @@ def test_rank_theorem_small_grid():
             assert verify_rank_theorem(g, r)["ok"]
 
 
+def housing_m_matrix(g, d):
+    """Unnormalized pure-basis rows at the housing partitions of (g, d)."""
+    return [pure_row(lam).values
+            for lam in enumerate_partitions(d) if is_housing_partition(lam, g, d)]
+
+
 def test_housing_rows_span_every_generator():
     # the unnormalized pure-basis rows at housing partitions have full
     # predicted rank and contain every boundary row in their span
     for g in range(2, 5):
         for d in range(0, 2 * g - 3):
-            housing = housing_m_matrix(g, d)
-            base_rank = exact_rank(housing)
+            base_rank, *stacked = exact_rank(housing_m_matrix(g, d), *boundary_rows(g, d))
             assert base_rank == housing_rank_formula(g, d)
-            stacked = tuple(housing.entries) + tuple(full_matrix(g, d).entries)
-            assert exact_rank(stacked) == base_rank
+            assert stacked == [base_rank, base_rank]
 
 
-def test_pure_matrix_shape():
-    m = pure_matrix(4, 2)
-    assert m.degree == 2
-    assert m.row_labels == tuple(sorted(m.row_labels))
-    assert len(m.entries) == len(m.row_labels)
+def test_boundary_rows_shape():
+    # the undecorated generators are the pure strata, in sorted order
+    for g, d in ((4, 2), (5, 4), (6, 3)):
+        pure, decorated = boundary_rows(g, d)
+        labels = sorted(enumerate_pure_housing_partitions(g, d))
+        assert pure == [pure_row(sigma).values for sigma in labels]
+        assert decorated == [
+            v_form(data, d).values
+            for data in enumerate_boundary_generators(g, d)
+            if any(kap or psi for _, kap, psi in data)
+        ]
+        assert len(pure) + len(decorated) == len(enumerate_boundary_generators(g, d))
 
 
 def test_kappa_row_values():
@@ -268,12 +300,10 @@ def test_kappa_row_values():
 
 
 def test_smooth_and_eta_matrices():
-    m = smooth_matrix(4, 1)
-    assert m.row_labels == ((1,),)
-    assert m.entries == ((512,),)
-    e = eta_matrix(3, 1)
-    assert e.row_labels == ((),)
-    assert e.entries == ((16,),)
+    assert smooth_matrix(4, 1) == ((512,),)
+    assert eta_matrix(3, 1) == ((16,),)
+    assert len(smooth_matrix(7, 1)) == len(enumerate_partitions(4))
+    assert len(smooth_matrix(7, 1, max_length=2)) == 3
 
 
 def test_span_and_length_small_grid():

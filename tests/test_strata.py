@@ -1,20 +1,92 @@
 import hashlib
+from heapq import heapify, heappop, heappush
+from itertools import product
 
 import pytest
 
 from soclerank.partitions import enumerate_partitions, partition
 from soclerank.strata import (
     DecoratedTree,
+    _fold,
     _genus_assignments,
-    boundary_generators_via_labeled_trees,
+    _min_genus,
     build_housing_tree,
     enumerate_boundary_generators,
-    enumerate_labeled_trees,
     enumerate_pure_housing_partitions,
     housing_data,
     is_housing_partition,
     tree_degree_multisets,
 )
+
+
+def enumerate_labeled_trees(n):
+    """Edge sets of all labeled trees on n vertices, via Pruefer sequences."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if n == 1:
+        return ((),)
+    if n == 2:
+        return (((0, 1),),)
+    return tuple(
+        _prufer_decode(seq, n) for seq in product(range(n), repeat=n - 2)
+    )
+
+
+def _prufer_decode(seq, n):
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heappush(leaves, x)
+    a, b = heappop(leaves), heappop(leaves)
+    edges.append((min(a, b), max(a, b)))
+    return tuple(edges)
+
+
+def _labeled_valences(v):
+    # the valence sequences of the labeled trees, each once
+    valences = set()
+    for edges in enumerate_labeled_trees(v):
+        valence = [0] * v
+        for a, b in edges:
+            valence[a] += 1
+            valence[b] += 1
+        valences.add(tuple(valence))
+    return valences
+
+
+def _genus_compositions(valences, g):
+    # every stable genus tuple of total g along the valences, with no
+    # tie-breaking between equal valences
+    if not valences:
+        return [()] if g == 0 else []
+    return [(head,) + rest
+            for head in range(_min_genus(valences[0]), g + 1)
+            for rest in _genus_compositions(valences[1:], g - head)]
+
+
+def boundary_generators_via_labeled_trees(g, d):
+    """Slow cross-check: the reduced boundary data from labeled trees.
+
+    Walks the valence sequences of Pruefer-coded labeled trees with
+    every genus composition, folding the decorations of each with
+    ``strata._fold``; must agree with enumerate_boundary_generators.
+    """
+    found = set()
+    for k in range(0, 2 * g - 3 - d):
+        for valences in _labeled_valences(2 * g - 2 - d - k):
+            for genera in _genus_compositions(valences, g):
+                dims = [2 * gv - 3 + nv for gv, nv in zip(genera, valences)]
+                found |= _fold(tuple(sorted((m, min(n, m))
+                                            for m, n in zip(dims, valences) if m)), k)
+    return tuple(sorted(found))
 
 
 def test_tree_validation():
