@@ -11,7 +11,7 @@ an exact integer independent of the genus.
 from fractions import Fraction
 
 from soclerank import (
-    ModuliContext,
+    complementary_degree,
     mu,
     mu_dprime,
     mu_prime,
@@ -26,10 +26,9 @@ print("pure psi pairing, g=3, tau=(2,2,2,1):", psi_lambda_g((2, 2, 2, 1), 3))
 print("smooth pairing, g=2, sigma=(1,):", psi_lambda_g_lambda_g1((1,), 2))
 assert psi_lambda_g_lambda_g1((1,), 2) == Fraction(1, 3)
 
-# bookkeeping helper: degree d and complementary degree r determine
-# each other through the socle degree 2g-3
-ctx = ModuliContext(g=4, d=3)
-print("context:", ctx)
+# degree d and complementary degree r = 2g-3-d determine each other
+# through the socle degree 2g-3
+print("complementary degree, g=4, d=3:", complementary_degree(4, 3))
 
 # theta(sigma, tau) is the normalized kappa-psi evaluation; the genus
 # has dropped out completely

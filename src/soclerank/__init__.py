@@ -29,7 +29,7 @@ from .partitions import (
     separates,
 )
 from .socle import (
-    ModuliContext,
+    complementary_degree,
     mu,
     mu_dprime,
     mu_from_mu_prime,

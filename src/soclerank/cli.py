@@ -20,7 +20,7 @@ from . import oracles
 from .coeffs import c_coefficient
 from .exact import format_scalar
 from .ranks import betti_report, verify_housing_theorem, verify_rank_theorem
-from .socle import ModuliContext, mu, mu_dprime, mu_prime, theta
+from .socle import mu, mu_dprime, mu_prime, theta
 from .strata import enumerate_boundary_generators, enumerate_pure_housing_partitions
 
 FORMATS = ("pretty", "json", "csv")
@@ -212,12 +212,10 @@ def _parser():
     q.set_defaults(run=_cmd_verify)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
-    q.add_argument("--r", type=int, default=None)
     q = verify_sub.add_parser("rank", parents=[common])
     q.set_defaults(run=_cmd_verify)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--r", type=int, required=True)
-    q.add_argument("--d", type=int, default=None)
     q = verify_sub.add_parser("all", parents=[common])
     q.set_defaults(run=_cmd_verify_all)
     q.add_argument("--max-g", type=int, default=5)
@@ -297,8 +295,7 @@ def _check(kind, g, d, r):
 
 
 def _cmd_verify(args):
-    ModuliContext(args.g, d=args.d, r=args.r)
-    report = _check(args.verify_command, args.g, args.d, args.r)
+    report = _check(args.verify_command, args.g, vars(args).get("d"), vars(args).get("r"))
     _emit(args.format, [report], list(report), _pairs)
     return 0 if report["ok"] else 1
 

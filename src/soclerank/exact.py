@@ -80,7 +80,6 @@ def partition_count(n, sizes):
     return counts[n]
 
 
-@lru_cache(maxsize=None)
 def fz_count(n):
     """Partitions of n with no part of size 5, 8, 11, ... (2 mod 3, >= 5).
 

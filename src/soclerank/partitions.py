@@ -24,11 +24,13 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, inf, prod
 
-# Most work one ``set_partition_totals`` call may take, counted as
-# (parts + 1) * prod over kinds of C(m + 2, 2), m the kind's
-# multiplicity.  198 equal parts (3.96e6) take about 4 s on a 2-vCPU
-# machine, where 480 equal parts (5.6e7) ran for minutes.
-MAX_WORK = 4_000_000
+# Most work one ``set_partition_totals`` call may take: its steps,
+# (parts + 1) * prod over kinds of C(m + 2, 2), m the kind's multiplicity,
+# times b**2 + 2**22, a product of b-bit integers plus a fixed cost, where
+# b = a * a.bit_length() bounds the bits of a! for a the slots of the
+# finest set partition.  On a 2-vCPU machine theta of 198 ones (6.7e13)
+# takes 4 s, mu of 198 ones (1.6e14) took 14 s, the slowest accepted 7.8 s.
+MAX_WORK = 7 * 10**13
 
 
 def partition(parts):
@@ -130,35 +132,36 @@ def enumerate_refining_functions(target, source):
     return tuple(out)
 
 
-def set_partition_totals(classes, weight, caps=None):
+def set_partition_totals(classes, slots, factor, caps=None):
     """Weighted sum over the set partitions of a multiset, by block count.
 
     The parts of the partitions in ``classes`` form the multiset; parts
     are told apart by position, so equal parts still give distinct set
-    partitions.  ``weight(block)`` maps the partition of a block's values
-    to a pair (slots, factor).  The result maps (k, a) to the sum, over
-    the set partitions into k blocks whose slots add up to a, of the
-    product of the block factors times the multinomial coefficient of a
-    over the block slots.  ``caps`` gives per class the most parts of
-    that class one block may hold, None for no limit.  ``weight`` must be
-    hashable, since it keys the memo.  A multiset whose work, (parts + 1)
-    times the product over kinds of C(m + 2, 2) with m the kind's
-    multiplicity, exceeds ``MAX_WORK`` raises ValueError.
+    partitions.  ``slots(block)`` and ``factor(block)`` map the partition
+    of a block's values to its slot count and its factor.  The result
+    maps (k, a) to the sum, over the set partitions into k blocks whose
+    slots add up to a, of the product of the block factors times the
+    multinomial coefficient of a over the block slots.  ``caps`` gives
+    per class the most parts of that class one block may hold, None for
+    no limit.  ``slots`` and ``factor`` must be hashable, since they key
+    the memo.  A multiset whose work exceeds ``MAX_WORK`` raises
+    ValueError before any factor is computed.
     """
     classes = tuple(partition(c) for c in classes)
     caps = (None,) * len(classes) if caps is None else tuple(caps)
     if len(caps) != len(classes):
         raise ValueError("need one cap per class")
     kinds = _kinds(classes)
-    counts = [count for _, _, count in kinds]
-    work = (sum(counts) + 1) * prod(comb(count + 2, 2) for count in counts)
+    steps = (sum(map(len, classes)) + 1) * prod(comb(count + 2, 2) for _, _, count in kinds)
+    a = sum(count * slots((value,)) for _, value, count in kinds)
+    work = steps * ((a * a.bit_length()) ** 2 + 2 ** 22)
     if work > MAX_WORK:
         raise ValueError("set partition sum too large: work %d exceeds %d" % (work, MAX_WORK))
-    return dict(_free(weight, caps, kinds))  # the memo keeps its own
+    return dict(_free(slots, factor, caps, kinds))  # the memo keeps its own
 
 
 @lru_cache(maxsize=None)
-def _free(weight, caps, kinds):
+def _free(slots, factor, caps, kinds):
     if not kinds:
         return {(0, 0): 1}
     # the block holding one part of the first kind, with any pick of the rest
@@ -168,11 +171,11 @@ def _free(weight, caps, kinds):
     room[cls] -= 1
     totals = {}
     for taken, ways in _picks(rest, room, None):
-        slots, factor = weight(_block(kinds, (taken[0] + 1,) + taken[1:]))
-        scale = ways * factor
-        for (k, a), inner in _free(weight, caps, _left(rest, taken)).items():
-            key = (k + 1, a + slots)
-            totals[key] = totals.get(key, 0) + scale * comb(a + slots, slots) * inner
+        block = _block(kinds, (taken[0] + 1,) + taken[1:])
+        fill, scale = slots(block), ways * factor(block)
+        for (k, a), inner in _free(slots, factor, caps, _left(rest, taken)).items():
+            key = (k + 1, a + fill)
+            totals[key] = totals.get(key, 0) + scale * comb(a + fill, fill) * inner
     return totals
 
 

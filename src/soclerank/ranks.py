@@ -11,8 +11,8 @@ from math import gcd
 from .coeffs import eta_form, v_form
 from .exact import fz_count, partition_count
 from .partitions import enumerate_partitions, partition
-from .socle import mu
-from .strata import enumerate_boundary_generators
+from .socle import complementary_degree, mu
+from .strata import enumerate_boundary_generators, is_housing_partition
 
 
 def exact_rank(rows, *more):
@@ -90,21 +90,14 @@ def eta_matrix(g, r):
 
 
 def housing_rank_formula(g, d):
-    """Predicted pairing rank: short partitions plus borderline ones with two even parts."""
-    if not 0 <= d <= 2 * g - 3:
-        raise ValueError("degree %d out of range for genus %d" % (d, g))
-    short = partition_count(d, range(1, 2 * g - 2 - d))  # at most 2g-3-d parts
-    border = sum(
-        1
-        for s in enumerate_partitions(d)
-        if len(s) == 2 * g - 2 - d and sum(1 for p in s if p % 2 == 0) >= 2
-    )
-    return short + border
+    """Predicted pairing rank: the number of housing partitions in P(d)."""
+    complementary_degree(g, d)
+    return sum(1 for s in enumerate_partitions(d) if is_housing_partition(s, g, d))
 
 
 def verify_housing_theorem(g, d):
     """Ranks of the pure and full boundary matrices against the counting formula."""
-    if 2 * g - 3 - d < 1:
+    if complementary_degree(g, d) < 1:
         raise ValueError("need 2g-3-d >= 1")
     rank_pure, rank_full = exact_rank(*boundary_rows(g, d))
     formula = housing_rank_formula(g, d)
@@ -118,9 +111,10 @@ def verify_housing_theorem(g, d):
 
 def verify_rank_theorem(g, r):
     """Additivity of the boundary rank and the smooth rank at d = 2g-3-r."""
+    d = 2 * g - 3 - r
+    complementary_degree(g, d)
     if not 0 <= r <= g - 2:
         raise ValueError("need 0 <= r <= g-2")
-    d = 2 * g - 3 - r
     pure, decorated = boundary_rows(g, d)
     kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)]
     _, rank_boundary, rank_stacked = exact_rank(pure, decorated, kappa)
@@ -166,8 +160,7 @@ def betti_report(g):
     5, 8, 11, ...), the conjectured boundary defect delta_d = 0, and
     their difference.  Nothing here is proved by this package.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    complementary_degree(g, g - 1)  # the report's lowest degree
     rows = []
     for e in range(0, g - 1):
         d = g - 1 + e

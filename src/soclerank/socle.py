@@ -11,7 +11,6 @@ with its two partially-separated variants; the three are related by
 inclusion-exclusion over merges of the kappa indices.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,35 +18,14 @@ from .exact import double_factorial, factorial, multinomial
 from .partitions import merge_sign, merge_sum, partition, set_partition_totals
 
 
-@dataclass(frozen=True)
-class ModuliContext:
-    """Consistent (genus, pairing degree, complementary degree) bookkeeping.
-
-    The socle sits in total degree 2g-3; a pairing in degree d has
-    complementary degree r = 2g-3-d.
-    """
-
-    g: int
-    d: int = None
-    r: int = None
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ValueError("genus must be at least 2")
-        d, r = self.d, self.r
-        if d is None and r is not None:
-            d = 2 * self.g - 3 - r
-        if r is None and d is not None:
-            r = 2 * self.g - 3 - d
-        if d is not None:
-            if not 0 <= d <= 2 * self.g - 3:
-                raise ValueError("degrees d = %d, r = %d out of range for genus %d"
-                                 % (d, r, self.g))
-            if r + d != 2 * self.g - 3:
-                raise ValueError("expected d + r = 2g-3, got %d + %d with g = %d"
-                                 % (d, r, self.g))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "r", r)
+def complementary_degree(g, d):
+    """r = 2g-3-d, the degree paired with d; ValueError unless g >= 2 and 0 <= d <= 2g-3."""
+    r = 2 * g - 3 - d
+    if g < 2:
+        raise ValueError("genus must be at least 2")
+    if not 0 <= d <= 2 * g - 3:
+        raise ValueError("degrees d = %d, r = %d out of range for genus %d" % (d, r, g))
+    return r
 
 
 def psi_lambda_g(tau, g):
@@ -103,14 +81,18 @@ def _theta(sigma, tau):
     # |sigma| + k; spreading those and the psi parts over |sigma| + k + |tau|
     # gives the summand multinomial(|sigma| + |tau| + k; s_B + 1, ..., tau)
     total = 0
-    for (k, slots), count in set_partition_totals((sigma,), _theta_slots).items():
+    for (k, slots), count in set_partition_totals((sigma,), _theta_slots, _one).items():
         term = count * multinomial(slots + sum(tau), (slots,) + tau)
         total += term if (k + len(sigma)) % 2 == 0 else -term
     return total
 
 
 def _theta_slots(block):
-    return sum(block) + 1, 1
+    return sum(block) + 1
+
+
+def _one(block):
+    return 1
 
 
 @lru_cache(maxsize=None)
@@ -120,15 +102,19 @@ def _mu_sum(sigma, tau, separate_tau, separate_sigma):
     # (2 s_B + 1)! / (2 s_B + 1)!! = (2 s_B)!!
     caps = (1 if separate_sigma else None, 1 if separate_tau else None)
     total = 0
-    for (k, slots), count in set_partition_totals((sigma, tau), _mu_slots, caps).items():
+    totals = set_partition_totals((sigma, tau), _mu_slots, _mu_factor, caps)
+    for (k, slots), count in totals.items():
         term = (slots + 1) * count
         total += term if (k + len(sigma) + len(tau)) % 2 == 0 else -term
     return total
 
 
 def _mu_slots(block):
-    s = sum(block)
-    return 2 * s + 1, double_factorial(2 * s)
+    return 2 * sum(block) + 1
+
+
+def _mu_factor(block):
+    return factorial(sum(block)) << sum(block)  # (2s)!! = 2^s s!
 
 
 def mu(sigma, tau=()):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .partitions import enumerate_partitions, partition
-from .socle import ModuliContext
+from .socle import complementary_degree
 
 
 def _min_genus(valence):
@@ -223,7 +223,7 @@ def _walk(g, d, budgets):
     positive-dimension vertices reach ``_fold``, so each distinct sorted
     tuple of them is folded once per k.
     """
-    ModuliContext(g, d=d)
+    complementary_degree(g, d)
     found = set()
     folded = set()
     for k in budgets:

@@ -160,17 +160,18 @@ def test_verify_housing_json(capsys):
     }
 
 
-def test_verify_housing_accepts_consistent_r(capsys):
-    code, _, _ = run(capsys, ["verify", "housing", "--g", "3", "--d", "1", "--r", "2"])
-    assert code == 0
-
-
-def test_verify_housing_rejects_inconsistent_r(capsys):
-    code, _, err = run(
-        capsys, ["verify", "housing", "--g", "3", "--d", "1", "--r", "1"]
-    )
-    assert code == 2
-    assert "d + r = 2g-3" in err
+@pytest.mark.parametrize("argv", [
+    ["verify", "housing", "--g", "3", "--d", "1", "--r", "2"],
+    ["verify", "rank", "--g", "4", "--r", "1", "--d", "4"],
+])
+def test_verify_takes_one_degree(capsys, argv):
+    # the other degree is 2g-3 minus the given one, so it is no option
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 def test_verify_rank_pretty(capsys):
@@ -283,12 +284,22 @@ def test_recursion_error_exits_two(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("sigma", [list(range(16, 0, -1)), [1] * 480],
-                         ids=["16-distinct-parts", "480-ones"])
+@pytest.mark.parametrize("sigma", [list(range(16, 0, -1)), [1] * 480, [5] * 190, [100] * 60],
+                         ids=["16-distinct-parts", "480-ones", "190-fives", "60-hundreds"])
 def test_kernel_work_bound_exits_two(capsys, sigma):
     # past the set-partition kernel's work bound theta answers at once
     start = time.perf_counter()
     code, out, err = run(capsys, ["theta", "--sigma", json.dumps(sigma)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_coeff_degree_cap_exits_two(capsys):
+    # past the degree cap c_expansion answers before it lists P(d)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["coeff", "--lambda", "[28]", "--gamma", "[28]"])
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""

@@ -103,14 +103,18 @@ def _stirling2(n, k):
     return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
 
 
+def _no_slots(block):
+    return 0
+
+
 def _unit(block):
-    return 0, 1
+    return 1
 
 
 def test_set_partition_totals_counts_set_partitions():
     # with no slots and unit factors the totals count set partitions by size
     for n in range(0, 9):
-        totals = set_partition_totals(((1,) * n,), _unit)
+        totals = set_partition_totals(((1,) * n,), _no_slots, _unit)
         assert totals == {(k, 0): _stirling2(n, k) for k in range(0, n + 1)
                           if _stirling2(n, k)}
     for sigma in ((3, 2, 2, 1), (2, 2, 2), (4, 1, 1, 1, 1)):
@@ -125,7 +129,7 @@ def test_set_partition_totals_counts_set_partitions():
                     if (caps[0] is None or separates(blocks, sigma_idx))
                     and (caps[1] is None or separates(blocks, tau_idx))
                 )
-                assert set_partition_totals((sigma, tau), _unit, caps) == expected
+                assert set_partition_totals((sigma, tau), _no_slots, _unit, caps) == expected
 
 
 def _split_count(source, target):

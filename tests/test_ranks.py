@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from soclerank.coeffs import pure_row, v_form
+from soclerank.exact import partition_count
 from soclerank.partitions import enumerate_partitions
 from soclerank.ranks import (
     betti_report,
@@ -219,6 +220,22 @@ def test_housing_rank_formula_examples():
         housing_rank_formula(3, 5)
     with pytest.raises(ValueError):
         housing_rank_formula(2, -1)
+
+
+def short_plus_border(g, d):
+    """The housing count: partitions of d into at most 2g-3-d parts, plus
+    those of exactly 2g-2-d parts with at least two even parts.
+    """
+    short = partition_count(d, range(1, 2 * g - 2 - d))
+    border = sum(1 for s in enumerate_partitions(d)
+                 if len(s) == 2 * g - 2 - d and sum(1 for p in s if p % 2 == 0) >= 2)
+    return short + border
+
+
+def test_housing_rank_formula_matches_short_plus_border():
+    for g in range(2, 15):
+        for d in range(0, 2 * g - 2):
+            assert housing_rank_formula(g, d) == short_plus_border(g, d)
 
 
 def test_verify_housing_examples():

@@ -6,7 +6,7 @@ import pytest
 from soclerank.exact import multinomial
 from soclerank.partitions import enumerate_partitions
 from soclerank.socle import (
-    ModuliContext,
+    complementary_degree,
     mu,
     mu_dprime,
     mu_from_mu_prime,
@@ -18,17 +18,16 @@ from soclerank.socle import (
 )
 
 
-def test_moduli_context():
-    ctx = ModuliContext(3, d=2)
-    assert ctx.r == 1
-    ctx = ModuliContext(4, r=0)
-    assert ctx.d == 5
-    with pytest.raises(ValueError):
-        ModuliContext(1)
-    with pytest.raises(ValueError):
-        ModuliContext(3, d=4)
-    with pytest.raises(ValueError, match="expected d \\+ r = 2g-3, got 2 \\+ 2 with g = 3"):
-        ModuliContext(3, d=2, r=2)
+def test_complementary_degree():
+    assert complementary_degree(3, 2) == 1
+    assert complementary_degree(4, 0) == 5
+    assert complementary_degree(4, 5) == 0
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
+        complementary_degree(1, 0)
+    with pytest.raises(ValueError, match="^degrees d = 4, r = -1 out of range for genus 3$"):
+        complementary_degree(3, 4)
+    with pytest.raises(ValueError, match="^degrees d = -2, r = 5 out of range for genus 3$"):
+        complementary_degree(3, -2)
 
 
 def test_psi_lambda_g():
