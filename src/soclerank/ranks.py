@@ -7,67 +7,71 @@ each, reporting every number involved so a failing cell is diagnosable.
 """
 
 from math import gcd
+from operator import mul
 
 from .coeffs import eta_form, v_form
 from .exact import fz_count, partition_count
 from .partitions import enumerate_partitions, partition
 from .socle import complementary_degree, mu
-from .strata import enumerate_boundary_generators, is_housing_partition
+from .strata import _walk, is_housing_partition
 
 
 def exact_rank(rows, *more):
     """Rank over the rationals of int rows, or the ranks of nested row blocks.
 
     With one block of rows the result is its rank; with more, the tuple
-    of the ranks of block 1, of blocks 1-2, and so on, from one echelon
-    pass over the blocks in order.  Every row must have the width of the
-    first row of the first nonempty block and int entries (not bools);
-    anything else raises ValueError.  Rows are reduced one at a time
-    against the kept echelon rows, in the order those were kept, by
-    row = lead*row - head*pivot, where lead is the pivot's entry at its
-    leading column (its first nonzero one) and head is the row's entry
-    there.  Each kept row is zero at the leading columns of all rows
-    kept before it, so a nonzero remainder is independent of them: it is
-    divided by the gcd of its entries and kept, and the rank is the
-    number of rows kept.  Reduction stops once the rank equals the
-    width; later rows are still checked.
+    of the ranks of block 1, of blocks 1-2, and so on, from one pass
+    over the blocks (any iterables) in order.  Every row consumed must
+    have the width of the first row and int entries (not bools), or
+    ValueError is raised.  The pass keeps an integer basis K of the
+    vectors orthogonal to every row so far, starting from the unit
+    vectors; the rank is width - |K|.  A row with v = (row . k for k in
+    K) zero lies in the span; otherwise the first k_j with v_j nonzero
+    is dropped and every other k_i with v_i nonzero becomes
+    v_j*k_i - v_i*k_j, divided by its gcd.  Once K is empty no further
+    row is consumed, and every later block reports the width.
     """
-    blocks = (rows,) + more
-    width = next((len(block[0]) for block in blocks if block), 0)
-    kept = []
-    ranks = []
-    for block in blocks:
-        for row in block:
+    kernel, ranks = None, []
+    for block in (rows,) + more:
+        for row in block if kernel != [] else ():
+            if kernel is None:
+                width = len(row)
+                kernel = [[int(i == j) for j in range(width)] for i in range(width)]
             if len(row) != width:
                 raise ValueError("rows must all have the same length")
             if not set(map(type, row)) <= {int}:
                 raise ValueError("matrix entries must be ints")
-            if len(kept) == width:
-                continue
-            for col, pivot in kept:
-                head = row[col]
-                if head:
-                    lead = pivot[col]
-                    row = [lead * x - head * y for x, y in zip(row, pivot)]
-            col = next((j for j, x in enumerate(row) if x), None)
-            if col is not None:
-                div = gcd(*row)
-                kept.append((col, [x // div for x in row]))
-        ranks.append(len(kept))
+            v = [sum(map(mul, row, k)) for k in kernel]
+            j = next((i for i, x in enumerate(v) if x), None)
+            if j is not None:
+                lead, pivot = v.pop(j), kernel.pop(j)
+                kernel = [k if not x else _primitive([lead * a - x * b for a, b in zip(k, pivot)])
+                          for k, x in zip(kernel, v)]
+            if not kernel:
+                break
+        ranks.append(0 if kernel is None else width - len(kernel))
     return tuple(ranks) if more else ranks[0]
 
 
-def boundary_rows(g, d):
-    """Rows on P(d) of every reduced boundary generator of (g, d), in two blocks.
+def _primitive(vector):
+    div = gcd(*vector)
+    return [x // div for x in vector]
 
-    The first block holds the undecorated generators, which are exactly
-    the pure boundary strata; the second holds the decorated ones.
+
+def boundary_rows(g, d):
+    """Rows on P(d) of every reduced boundary generator of (g, d), in two lazy blocks.
+
+    The first block holds the pure strata, the k = 0 slice of the walk
+    (none at d = 2g-3); the second, whose walk runs only once it is
+    advanced, the generators with k >= 1 decorations not in the first.
     """
-    pure, decorated = [], []
-    for data in enumerate_boundary_generators(g, d):
-        block = decorated if any(kap or psi for _, kap, psi in data) else pure
-        block.append(v_form(data, d).values)
-    return pure, decorated
+    pure = _walk(g, d, range(min(1, 2 * g - 3 - d)))
+
+    def decorated():
+        for data in _walk(g, d, range(1, 2 * g - 3 - d)) - pure:
+            yield v_form(data, d).values
+
+    return (v_form(data, d).values for data in pure), decorated()
 
 
 def kappa_row(tau, d):
@@ -115,9 +119,8 @@ def verify_rank_theorem(g, r):
     complementary_degree(g, d)
     if not 0 <= r <= g - 2:
         raise ValueError("need 0 <= r <= g-2")
-    pure, decorated = boundary_rows(g, d)
     kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)]
-    _, rank_boundary, rank_stacked = exact_rank(pure, decorated, kappa)
+    _, rank_boundary, rank_stacked = exact_rank(*boundary_rows(g, d), kappa)
     rank_smooth = exact_rank(smooth_matrix(g, r))
     return {
         "rank_stacked": rank_stacked,

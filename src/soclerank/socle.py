@@ -17,6 +17,10 @@ from functools import lru_cache
 from .exact import double_factorial, factorial, multinomial
 from .partitions import merge_sign, merge_sum, partition, set_partition_totals
 
+# Largest psi exponent sum ``theta`` takes.  On a 2-vCPU machine theta of
+# 198 ones with 4000 psi ones takes 6.1 s; [1] with 120000 psi ones took 12 s.
+MAX_PSI = 4000
+
 
 def complementary_degree(g, d):
     """r = 2g-3-d, the degree paired with d; ValueError unless g >= 2 and 0 <= d <= 2g-3."""
@@ -70,7 +74,8 @@ def theta(sigma, tau=()):
 
     Inclusion-exclusion over set partitions of the kappa index set;
     every summand is a multinomial coefficient, so the result is an
-    integer.  Both arguments are partitions; tau may be empty.
+    integer.  Both arguments are partitions; tau may be empty.  A psi
+    exponent sum above ``MAX_PSI`` raises ValueError.
     """
     return _theta(partition(sigma), partition(tau))
 
@@ -80,6 +85,8 @@ def _theta(sigma, tau):
     # a block with part sum s_B fills s_B + 1 slots, so k blocks fill
     # |sigma| + k; spreading those and the psi parts over |sigma| + k + |tau|
     # gives the summand multinomial(|sigma| + |tau| + k; s_B + 1, ..., tau)
+    if sum(tau) > MAX_PSI:
+        raise ValueError("psi exponents sum to %d, above the cap %d" % (sum(tau), MAX_PSI))
     total = 0
     for (k, slots), count in set_partition_totals((sigma,), _theta_slots, _one).items():
         term = count * multinomial(slots + sum(tau), (slots,) + tau)

@@ -267,7 +267,8 @@ def test_group_level_format_rejected(capsys, argv):
 
 def test_recursion_error_exits_two(capsys):
     # theta of n equal parts recurses about n frames deep in the kernel;
-    # a limit 100 frames above the current depth stands in for 1200 parts
+    # with a limit 100 frames above the current depth, 120 ones (inside
+    # the kernel's work bound) run out of frames
     depth = 0
     frame = sys._getframe()
     while frame:
@@ -276,12 +277,13 @@ def test_recursion_error_exits_two(capsys):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        code, out, err = run(capsys, ["theta", "--sigma", json.dumps([1] * 400)])
+        code, out, err = run(capsys, ["theta", "--sigma", json.dumps([1] * 120)])
     finally:
         sys.setrecursionlimit(limit)
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("sigma", [list(range(16, 0, -1)), [1] * 480, [5] * 190, [100] * 60],
@@ -294,6 +296,16 @@ def test_kernel_work_bound_exits_two(capsys, sigma):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_theta_psi_cap_exits_two(capsys):
+    # past the psi exponent cap theta answers before its first multinomial
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["theta", "--sigma", "[1]", "--tau", json.dumps([1] * 120000)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: psi exponents sum to 120000, above the cap 4000\n"
 
 
 def test_coeff_degree_cap_exits_two(capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -21,6 +21,7 @@ from soclerank.ranks import (
     verify_span_equality,
 )
 from soclerank.strata import (
+    _walk,
     enumerate_boundary_generators,
     enumerate_pure_housing_partitions,
     is_housing_partition,
@@ -93,6 +94,36 @@ def _bareiss_rank(rows):
     return rank
 
 
+def _echelon_rank(rows):
+    """Rank over the rationals of int rows, by a row-by-row integer echelon.
+
+    Each row is reduced against the kept rows, in the order those were
+    kept, by row = lead*row - head*pivot, where lead is the pivot's
+    entry at its leading column (its first nonzero one) and head is the
+    row's entry there.  Each kept row is zero at the leading columns of
+    all rows kept before it, so a nonzero remainder is independent of
+    them: it is divided by the gcd of its entries and kept.
+    """
+    kept = []
+    for row in rows:
+        for col, pivot in kept:
+            head = row[col]
+            if head:
+                lead = pivot[col]
+                row = [lead * x - head * y for x, y in zip(row, pivot)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            div = gcd(*row)
+            kept.append((col, [x // div for x in row]))
+    return len(kept)
+
+
+def _until_saturated(rows):
+    # yields rows, and fails the test if advanced past the last one
+    yield from rows
+    raise AssertionError("advanced past the row that saturated the rank")
+
+
 def _random_matrix(rng, n, m):
     # about half the draws are a product of an n x k and a k x m factor,
     # so rank deficiency is common
@@ -124,11 +155,21 @@ def test_exact_rank_rejects_bad_rows():
     for bad in bad_rows:
         with pytest.raises(ValueError):
             exact_rank([[1, 0], bad])
-        # also once the rank already equals the width
         with pytest.raises(ValueError):
-            exact_rank([[1, 0], [0, 1], bad])
+            exact_rank([[1, 0], [2, 0], bad, [0, 1]])
         with pytest.raises(ValueError):
             exact_rank([bad, [1, 0], [0, 1]])
+
+
+def test_exact_rank_stops_at_the_width():
+    # once the rank equals the width no further row is consumed, so a bad
+    # row or a failing generator past that point is never reached
+    assert exact_rank(_until_saturated([[1, 0], [2, 0], [0, 3]])) == 2
+    assert exact_rank(_until_saturated([[1, 1], [1, 1], [1, -1]]), [[1, 2, 3]]) == (2, 2)
+    assert exact_rank([[0, 0]], _until_saturated([[0, 0], [1, 0], [0, 1]]),
+                      _until_saturated([])) == (0, 2, 2)
+    assert exact_rank(_until_saturated([[]])) == 0
+    assert exact_rank(_until_saturated([[]]), [[1, 2], [Fraction(1, 2)]]) == (0, 0)
 
 
 def test_exact_rank_matches_gauss_oracle():
@@ -157,6 +198,7 @@ def test_exact_rank_matches_gauss_oracle():
         full = [[int(i == j) for j in range(m)] for i in range(m)] + extra
         assert exact_rank(full) == m == _gauss_rank(full)
         assert exact_rank(extra) == _gauss_rank(extra)
+        assert exact_rank(_until_saturated(full[:m]), extra) == (m, m)
 
 
 def test_exact_rank_blocks_match_gauss_on_prefixes():
@@ -171,27 +213,26 @@ def test_exact_rank_blocks_match_gauss_on_prefixes():
         assert exact_rank(*blocks) == expected
         assert exact_rank(*blocks[:2]) == expected[:2]
         assert exact_rank(blocks[0]) == expected[0]
-    # a bad row in a later block, after the rank reached the width
-    identity = [[1, 0], [0, 1]]
+    # a bad row in a later block, before the rank reached the width
     for bad in ([1, 2, 3], [1], [Fraction(1, 2), 1], [True, 0], [1, 2.0]):
         with pytest.raises(ValueError):
-            exact_rank(identity, [[3, 4]], [bad])
+            exact_rank([[1, 0]], [[3, 0]], [bad])
         with pytest.raises(ValueError):
-            exact_rank([], identity, [[0, 1], bad])
+            exact_rank([], [[0, 1]], [[0, 2], bad])
 
 
 def _grid_blocks(max_g):
-    # every nested row-block sequence the verifiers rank: pure, then
-    # decorated boundary rows (then kappa rows in the rank cells);
-    # smooth; short smooth; eta, then short smooth
+    # every nested row-block sequence the verifiers rank, materialized:
+    # pure, then decorated boundary rows (then kappa rows in the rank
+    # cells); smooth; short smooth; eta, then short smooth
     for g in range(2, max_g + 1):
         for d in range(0, 2 * g - 3):
-            yield boundary_rows(g, d)
+            yield tuple(map(list, boundary_rows(g, d)))
         for r in range(0, g - 1):
             d = 2 * g - 3 - r
             kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)]
             short = smooth_matrix(g, r, max_length=r + 1)
-            yield boundary_rows(g, d) + (kappa,)
+            yield tuple(map(list, boundary_rows(g, d))) + (kappa,)
             yield (smooth_matrix(g, r),)
             yield (short,)
             yield (eta_matrix(g, r), short)
@@ -210,6 +251,46 @@ def test_exact_rank_matches_bareiss_on_grid():
             assert rank == exact_rank(rows) == _bareiss_rank(rows)
             count += 1
     assert count == 219
+
+
+def test_exact_rank_matches_references_on_full_boundary_matrices():
+    # every g <= 8 boundary matrix, built whole: in canonical generator
+    # order and pure strata first, the kernel rank equals the echelon and
+    # the Bareiss rank, and so does the rank after the pure rows; the
+    # pure block's data, the k = 0 slice of the walk, are the undecorated
+    # generators, so the two blocks never overlap
+    for g in range(2, 9):
+        for d in range(0, 2 * g - 2):
+            generators = enumerate_boundary_generators(g, d)
+            if d < 2 * g - 3:
+                assert _walk(g, d, (0,)) == {
+                    data for data in generators if not any(kap or psi for _, kap, psi in data)
+                }
+            canonical = [v_form(data, d).values for data in generators]
+            pure, decorated = map(list, boundary_rows(g, d))
+            assert sorted(pure + decorated) == sorted(canonical)
+            rank = exact_rank(canonical)
+            assert rank == _echelon_rank(canonical) == _bareiss_rank(canonical)
+            assert exact_rank(pure, decorated) == (_echelon_rank(pure), rank)
+            assert exact_rank(pure + decorated) == _echelon_rank(pure + decorated) == rank
+
+
+def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
+    # for d <= g-2 the pure rows reach the width |P(d)|, so the decorated
+    # block is never advanced and v_form never sees a decoration
+    calls = []
+
+    def pure_only(data, d):
+        assert not any(kap or psi for _, kap, psi in data), data
+        calls.append(data)
+        return v_form(data, d)
+
+    monkeypatch.setattr("soclerank.ranks.v_form", pure_only)
+    for g in range(2, 9):
+        for d in range(0, g - 1):
+            report = verify_housing_theorem(g, d)
+            assert report["rank_full"] == len(enumerate_partitions(d)) and report["ok"]
+    assert calls
 
 
 def test_housing_rank_formula_examples():
@@ -297,17 +378,20 @@ def test_housing_rows_span_every_generator():
 
 
 def test_boundary_rows_shape():
-    # the undecorated generators are the pure strata, in sorted order
+    # the pure block holds the undecorated generators, which are the pure
+    # strata; the decorated block holds the rest; at d = 2g-3 both are empty
     for g, d in ((4, 2), (5, 4), (6, 3)):
-        pure, decorated = boundary_rows(g, d)
-        labels = sorted(enumerate_pure_housing_partitions(g, d))
-        assert pure == [pure_row(sigma).values for sigma in labels]
-        assert decorated == [
+        pure, decorated = map(list, boundary_rows(g, d))
+        labels = enumerate_pure_housing_partitions(g, d)
+        assert sorted(pure) == sorted(pure_row(sigma).values for sigma in labels)
+        assert sorted(decorated) == sorted(
             v_form(data, d).values
             for data in enumerate_boundary_generators(g, d)
             if any(kap or psi for _, kap, psi in data)
-        ]
+        )
         assert len(pure) + len(decorated) == len(enumerate_boundary_generators(g, d))
+    for g in range(2, 9):
+        assert list(map(list, boundary_rows(g, 2 * g - 3))) == [[], []]
 
 
 def test_kappa_row_values():
