@@ -248,17 +248,13 @@ def _cmd_coeff(args):
     k = len(args.gamma)
     kappas = args.kappa if args.kappa is not None else ((),) * k
     psis = args.psi if args.psi is not None else ((),) * k
-    if len(kappas) != k or len(psis) != k:
-        raise ValueError("need one decoration per gamma part")
     value = c_coefficient(args.lam, args.gamma, kappas, psis)
     oracle = None
     if k == 1:
-        symbols = (
-            sum(args.lam) + len(args.lam)
-            + sum(kappas[0]) + len(kappas[0]) + sum(psis[0])
-        )
-        if symbols <= 8:
-            oracle = oracles.count_main_claim(args.lam, kappas[0], psis[0])
+        try:
+            oracle = oracles.count_main_claim(args.lam, kappas[0], psis[0], max_symbols=8)
+        except ValueError:  # over 8 symbols: no oracle
+            pass
     row = {"lambda": args.lam, "gamma": args.gamma, "kappa": kappas, "psi": psis,
            "coefficient": value, "oracle": oracle}
     _emit(args.format, [row], list(row), _coeff_lines)

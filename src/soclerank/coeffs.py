@@ -11,9 +11,11 @@ mu integrals from the socle module.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .exact import double_factorial, factorial
 from .partitions import (
+    MAX_WORK,
     automorphism_count,
     enumerate_partitions,
     enumerate_refining_functions,
@@ -23,11 +25,14 @@ from .partitions import (
     restrict,
     splits,
 )
-from .socle import mu_dprime, theta
+from .socle import MAX_PSI, mu_dprime, theta, theta_work
 
 # Highest degree ``c_expansion`` takes: m_basis(d) holds p(d) forms of p(d)
 # values.  On a 2-vCPU machine degree 21 takes 5 s, 23 took 11 s, 28 over 100 s.
 MAX_DEGREE = 21
+# The distinct thetas of one v_form row may take together half the kernel work
+# and psi of one theta call; the rest of a 10 s answer goes to the expansion.
+MAX_ROW_WORK, MAX_ROW_PSI = MAX_WORK // 2, MAX_PSI // 2
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ def m_form(lam):
 
 def pure_row(lam):
     """Pairing row of the pure stratum of lam: one undecorated vertex per part."""
-    return v_form(tuple((part, (), ()) for part in lam), sum(lam))
+    lam = partition(lam)
+    return LinearForm(sum(lam), _row(tuple((part, (), ()) for part in lam)))
 
 
 def _preimage(phi, j):
@@ -79,8 +85,8 @@ def _preimage(phi, j):
 
 @lru_cache(maxsize=None)
 def m_basis(d):
-    """The pure forms in canonical partition order."""
-    return tuple((lam, m_form(lam)) for lam in enumerate_partitions(d))
+    """The pure forms' values, as (lam, values) pairs in canonical partition order."""
+    return tuple((lam, m_form(lam).values) for lam in enumerate_partitions(d))
 
 
 def v_form(data, d):
@@ -89,38 +95,41 @@ def v_form(data, d):
     ``data`` lists per-vertex triples (socle remainder, kappa decoration,
     psi decoration); remainders must sum to d.  The row is the product
     of the one-vertex rows; a zero remainder only scales it by theta.
+    A row whose distinct thetas sum past ``MAX_ROW_WORK`` kernel work or
+    ``MAX_ROW_PSI`` psi exponents raises ValueError before any is computed.
     """
-    triples = []
-    for m, kap, psi in data:
-        if m < 0:
-            raise ValueError("socle remainders must be nonnegative")
-        triples.append((m, partition(kap), partition(psi)))
+    triples = tuple((m, partition(kap), partition(psi)) for m, kap, psi in data)
+    if any(m < 0 for m, _, _ in triples):
+        raise ValueError("socle remainders must be nonnegative")
     if sum(m for m, _, _ in triples) != d:
-        raise ValueError("remainders sum to %d, expected %d"
-                         % (sum(m for m, _, _ in triples), d))
+        raise ValueError("remainders sum to %d, expected %d" % (sum(m for m, _, _ in triples), d))
+    thetas = {(partition(pi + kap), psi)
+              for m, kap, psi in triples for pi in enumerate_partitions(m)}
+    work = sum(map(theta_work, {sigma for sigma, _ in thetas}))
+    psi_sum = sum(sum(tau) for _, tau in thetas)
+    if work > MAX_ROW_WORK or psi_sum > MAX_ROW_PSI:
+        raise ValueError("row too large: its thetas sum to work %d (cap %d) and psi %d (cap %d)"
+                         % (work, MAX_ROW_WORK, psi_sum, MAX_ROW_PSI))
     constant, targets = _split_vertices(triples)
-    return LinearForm(d, tuple(constant * x for x in (_row(targets) if targets else (1,))))
+    return LinearForm(d, tuple(constant * x for x in _row(targets)))
 
 
 def _split_vertices(data):
     # a zero-remainder vertex only scales the row by its theta value; the
-    # others become (m, (kappa, psi)) targets, sorted
-    constant = 1
-    targets = []
-    for m, kap, psi in data:
-        if m == 0:
-            constant *= theta(kap, psi)
-        else:
-            targets.append((m, (kap, psi)))
-    return constant, tuple(sorted(targets, reverse=True))
+    # others stay (m, kappa, psi) triples, sorted as ``strata._walk`` yields them
+    constant = prod(theta(kap, psi) for m, kap, psi in data if not m)
+    return constant, tuple(sorted((v for v in data if v[0]), reverse=True))
 
 
 @lru_cache(maxsize=None)
 def _row(targets):
     # one vertex pairs pi with theta(pi + kappa; psi); a refining map onto
     # more sends a labeled sub-multiset of pi to the first vertex and the
-    # rest onto the others, so their row is the split convolution
-    (m, (kap, psi)), d = targets[0], sum(part for part, _ in targets)
+    # rest onto the others, so their row is the split convolution; no
+    # vertex leaves the one value on P(0)
+    if not targets:
+        return (1,)
+    (m, kap, psi), d = targets[0], sum(v[0] for v in targets)
     if len(targets) == 1:
         return tuple(theta(partition(pi + kap), psi) for pi in enumerate_partitions(m))
     head, tail = _row(targets[:1]), _row(targets[1:])
@@ -137,15 +146,11 @@ def c_expansion(form):
     partition.  A degree above ``MAX_DEGREE`` raises ValueError.
     """
     _check_degree(form.degree)
-    solved = []
-    coeffs = {}
-    for lam, mlam in m_basis(form.degree):
-        residual = form(lam)
-        for prev, prevform in solved:
-            residual -= coeffs[prev] * prevform(lam)
-        coeffs[lam] = residual
-        solved.append((lam, mlam))
-    return coeffs
+    basis = m_basis(form.degree)
+    coeffs = []
+    for i, value in enumerate(form.values):
+        coeffs.append(value - sum(c * row[i] for c, (_, row) in zip(coeffs, basis)))
+    return dict(zip((lam for lam, _ in basis), coeffs))
 
 
 def _check_degree(d):
@@ -159,7 +164,7 @@ def _stratum_data(gamma, kappas, psis):
     kappas = ((),) * k if kappas is None else tuple(partition(p) for p in kappas)
     psis = ((),) * k if psis is None else tuple(partition(p) for p in psis)
     if len(kappas) != k or len(psis) != k:
-        raise ValueError("need one decoration pair per remainder")
+        raise ValueError("need one decoration per gamma part")
     return tuple(zip(gamma, kappas, psis))
 
 
@@ -189,11 +194,11 @@ def c_chain(lam, gamma, kappas=None, psis=None):
     """
     lam = partition(lam)
     constant, targets = _split_vertices(_stratum_data(gamma, kappas, psis))
-    parts = tuple(m for m, _ in targets)
+    parts = tuple(m for m, _, _ in targets)
     total = 0
     for phi in enumerate_refining_functions(parts, lam):
         prod = constant
-        for j, (_, (kap, psi)) in enumerate(targets):
+        for j, (_, kap, psi) in enumerate(targets):
             prod *= _chain_single(restrict(lam, _preimage(phi, j)), kap, psi)
         total += prod
     return total
@@ -317,9 +322,9 @@ def verify_triangular_identity(sigma, g, r):
     """
     sigma = partition(sigma)
     _check_sigma(sigma, g, r)
-    for tau in enumerate_partitions(r):
+    for i, tau in enumerate(enumerate_partitions(r)):
         rhs = merge_sum(sigma, lambda b: block_factor(b, sigma),
-                        lambda merged: _eta_dprime(merged, g, r)(tau))
+                        lambda merged: _eta_dprime(merged, g, r).values[i])
         if mu_dprime(sigma, tau) != rhs:
             return False
     return True

@@ -151,13 +151,18 @@ def set_partition_totals(classes, slots, factor, caps=None):
     caps = (None,) * len(classes) if caps is None else tuple(caps)
     if len(caps) != len(classes):
         raise ValueError("need one cap per class")
+    work = set_partition_work(classes, slots)
+    if work > MAX_WORK:
+        raise ValueError("set partition sum too large: work %d exceeds %d" % (work, MAX_WORK))
+    return dict(_free(slots, factor, caps, _kinds(classes)))  # the memo keeps its own
+
+
+def set_partition_work(classes, slots):
+    """The work ``set_partition_totals`` takes on ``classes``, as ``MAX_WORK`` counts it."""
     kinds = _kinds(classes)
     steps = (sum(map(len, classes)) + 1) * prod(comb(count + 2, 2) for _, _, count in kinds)
     a = sum(count * slots((value,)) for _, value, count in kinds)
-    work = steps * ((a * a.bit_length()) ** 2 + 2 ** 22)
-    if work > MAX_WORK:
-        raise ValueError("set partition sum too large: work %d exceeds %d" % (work, MAX_WORK))
-    return dict(_free(slots, factor, caps, kinds))  # the memo keeps its own
+    return steps * ((a * a.bit_length()) ** 2 + 2 ** 22)
 
 
 @lru_cache(maxsize=None)

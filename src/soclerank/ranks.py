@@ -9,7 +9,7 @@ each, reporting every number involved so a failing cell is diagnosable.
 from math import gcd
 from operator import mul
 
-from .coeffs import eta_form, v_form
+from .coeffs import _row, eta_form, v_form
 from .exact import fz_count, partition_count
 from .partitions import enumerate_partitions, partition
 from .socle import complementary_degree, mu
@@ -69,9 +69,9 @@ def boundary_rows(g, d):
 
     def decorated():
         for data in _walk(g, d, range(1, 2 * g - 3 - d)) - pure:
-            yield v_form(data, d).values
+            yield _row(data)
 
-    return (v_form(data, d).values for data in pure), decorated()
+    return map(_row, pure), decorated()
 
 
 def kappa_row(tau, d):
@@ -88,9 +88,7 @@ def smooth_matrix(g, r, max_length=None):
 
 def eta_matrix(g, r):
     """Rows eta_sigma over sigma in P(g-2-r, r+1), columns P(r)."""
-    taus = enumerate_partitions(r)
-    return tuple(tuple(eta_form(s, g, r)(t) for t in taus)
-                 for s in enumerate_partitions(g - 2 - r, r + 1))
+    return tuple(eta_form(s, g, r).values for s in enumerate_partitions(g - 2 - r, r + 1))
 
 
 def housing_rank_formula(g, d):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import double_factorial, factorial, multinomial
-from .partitions import merge_sign, merge_sum, partition, set_partition_totals
+from .partitions import merge_sign, merge_sum, partition, set_partition_totals, set_partition_work
 
 # Largest psi exponent sum ``theta`` takes.  On a 2-vCPU machine theta of
 # 198 ones with 4000 psi ones takes 6.1 s; [1] with 120000 psi ones took 12 s.
@@ -92,6 +92,11 @@ def _theta(sigma, tau):
         term = count * multinomial(slots + sum(tau), (slots,) + tau)
         total += term if (k + len(sigma)) % 2 == 0 else -term
     return total
+
+
+def theta_work(sigma):
+    """The kernel work of ``theta(sigma, tau)``, which ``partitions.MAX_WORK`` bounds."""
+    return set_partition_work((sigma,), _theta_slots)
 
 
 def _theta_slots(block):

@@ -115,7 +115,6 @@ def build_housing_tree(sigma, g, d):
     padded = list(sigma) + [0] * (m - len(sigma))
     evens = sorted((t for t in padded if t % 2 == 0), reverse=True)
     odds = sorted((t for t in padded if t % 2 == 1), reverse=True)
-    assert len(evens) >= 2 and len(evens) % 2 == 0
     k = len(evens) // 2 - 1
     path_len = m - k
     edges = [(i, i + 1) for i in range(path_len - 1)]
@@ -126,20 +125,9 @@ def build_housing_tree(sigma, g, d):
         valence[b] += 1
     odd_vertices = [v for v in range(m) if valence[v] % 2 == 1]
     even_vertices = [v for v in range(m) if valence[v] % 2 == 0]
-    assert len(odd_vertices) == len(evens)
-    entry = {}
-    for v, t in zip(odd_vertices, evens):
-        entry[v] = t
-    for v, t in zip(even_vertices, odds):
-        entry[v] = t
-    genera = []
-    for v in range(m):
-        t = entry[v]
-        assert (t + 3 - valence[v]) % 2 == 0
-        genera.append((t + 3 - valence[v]) // 2)
-    tree = DecoratedTree(tuple(genera), tuple(edges))
-    assert tree.genus == g and housing_data(tree) == sigma
-    return tree
+    entry = dict(zip(odd_vertices, evens)) | dict(zip(even_vertices, odds))
+    genera = tuple((entry[v] + 3 - valence[v]) // 2 for v in range(m))
+    return DecoratedTree(genera, tuple(edges))
 
 
 def tree_degree_multisets(v):

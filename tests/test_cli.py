@@ -318,6 +318,20 @@ def test_coeff_degree_cap_exits_two(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("decoration", [["--kappa", json.dumps([[1] * 40])],
+                                        ["--psi", json.dumps([[1] * 4000])]],
+                         ids=["40-ones-kappa", "4000-ones-psi"])
+def test_coeff_row_cap_exits_two(capsys, decoration):
+    # each theta of the row passes the kernel bounds, their sum does not:
+    # v_form answers before the first of them
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["coeff", "--lambda", "[18]", "--gamma", "[18]"] + decoration)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: row too large")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "all", "--max-g", "1"],
     ["verify", "all", "--jobs", "0"],
