@@ -25,14 +25,14 @@ from .partitions import (
     restrict,
     splits,
 )
-from .socle import MAX_PSI, mu_dprime, theta, theta_work
+from .socle import mu_dprime, theta, theta_work
 
 # Highest degree ``c_expansion`` takes: m_basis(d) holds p(d) forms of p(d)
 # values.  On a 2-vCPU machine degree 21 takes 5 s, 23 took 11 s, 28 over 100 s.
 MAX_DEGREE = 21
-# The distinct thetas of one v_form row may take together half the kernel work
-# and psi of one theta call; the rest of a 10 s answer goes to the expansion.
-MAX_ROW_WORK, MAX_ROW_PSI = MAX_WORK // 2, MAX_PSI // 2
+# Caps on the distinct thetas of one outside row, within a 10 s answer: their
+# summed kernel work, and their len(sigma) * sum(tau) psi multiplications (~1 us).
+MAX_ROW_WORK, MAX_ROW_PSI = 3 * MAX_WORK // 5, 10**6
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def m_form(lam):
 def pure_row(lam):
     """Pairing row of the pure stratum of lam: one undecorated vertex per part."""
     lam = partition(lam)
-    return LinearForm(sum(lam), _row(tuple((part, (), ()) for part in lam)))
+    return LinearForm(sum(lam), stratum_row(tuple((part, (), ()) for part in lam)))
 
 
 def _preimage(phi, j):
@@ -95,9 +95,16 @@ def v_form(data, d):
     ``data`` lists per-vertex triples (socle remainder, kappa decoration,
     psi decoration); remainders must sum to d.  The row is the product
     of the one-vertex rows; a zero remainder only scales it by theta.
-    A row whose distinct thetas sum past ``MAX_ROW_WORK`` kernel work or
-    ``MAX_ROW_PSI`` psi exponents raises ValueError before any is computed.
+    A degree above ``MAX_DEGREE`` or a row past ``MAX_ROW_WORK`` or
+    ``MAX_ROW_PSI`` raises ValueError before any theta is computed.
     """
+    constant, targets = _checked(data, d)
+    return LinearForm(d, tuple(constant * x for x in stratum_row(targets)))
+
+
+def _checked(data, d):
+    # outside data with nonnegative remainders summing to d, split if in the caps
+    _check_degree(d)  # before the checks list P(m)
     triples = tuple((m, partition(kap), partition(psi)) for m, kap, psi in data)
     if any(m < 0 for m, _, _ in triples):
         raise ValueError("socle remainders must be nonnegative")
@@ -106,12 +113,11 @@ def v_form(data, d):
     thetas = {(partition(pi + kap), psi)
               for m, kap, psi in triples for pi in enumerate_partitions(m)}
     work = sum(map(theta_work, {sigma for sigma, _ in thetas}))
-    psi_sum = sum(sum(tau) for _, tau in thetas)
-    if work > MAX_ROW_WORK or psi_sum > MAX_ROW_PSI:
-        raise ValueError("row too large: its thetas sum to work %d (cap %d) and psi %d (cap %d)"
-                         % (work, MAX_ROW_WORK, psi_sum, MAX_ROW_PSI))
-    constant, targets = _split_vertices(triples)
-    return LinearForm(d, tuple(constant * x for x in _row(targets)))
+    psi_work = sum(len(sigma) * sum(tau) for sigma, tau in thetas)
+    if work > MAX_ROW_WORK or psi_work > MAX_ROW_PSI:
+        raise ValueError("row too large: thetas sum to work %d (cap %d), psi work %d (cap %d)"
+                         % (work, MAX_ROW_WORK, psi_work, MAX_ROW_PSI))
+    return _split_vertices(triples)
 
 
 def _split_vertices(data):
@@ -122,17 +128,17 @@ def _split_vertices(data):
 
 
 @lru_cache(maxsize=None)
-def _row(targets):
-    # one vertex pairs pi with theta(pi + kappa; psi); a refining map onto
-    # more sends a labeled sub-multiset of pi to the first vertex and the
-    # rest onto the others, so their row is the split convolution; no
-    # vertex leaves the one value on P(0)
+def stratum_row(targets):
+    """Unchecked row on P(d) of sorted nonzero (m, kappa, psi) triples summing to d."""
+    # one vertex pairs pi with theta(pi + kappa; psi); a refining map onto more
+    # sends a labeled sub-multiset of pi to the first vertex and the rest onto
+    # the others, so their row is the split convolution; no vertex leaves (1,)
     if not targets:
         return (1,)
     (m, kap, psi), d = targets[0], sum(v[0] for v in targets)
     if len(targets) == 1:
         return tuple(theta(partition(pi + kap), psi) for pi in enumerate_partitions(m))
-    head, tail = _row(targets[:1]), _row(targets[1:])
+    head, tail = stratum_row(targets[:1]), stratum_row(targets[1:])
     hpos, tpos = _position(m), _position(d - m)
     return tuple(sum(ways * head[hpos[taken]] * tail[tpos[left]]
                      for taken, left, ways in splits(pi, m)) for pi in enumerate_partitions(d))
@@ -169,9 +175,9 @@ def _stratum_data(gamma, kappas, psis):
 
 
 @lru_cache(maxsize=None)
-def _expansion(data, d):
-    _check_degree(d)  # before v_form lists P(d)
-    return c_expansion(v_form(data, d))
+def _expansion(targets, d):
+    _check_degree(d)  # before the row lists P(d)
+    return c_expansion(LinearForm(d, stratum_row(targets)))
 
 
 def c_coefficient(lam, gamma, kappas=None, psis=None):
@@ -181,7 +187,8 @@ def c_coefficient(lam, gamma, kappas=None, psis=None):
     ``psis`` give one decoration partition per remainder (default empty).
     """
     lam = partition(lam)
-    return _expansion(_stratum_data(gamma, kappas, psis), sum(lam))[lam]
+    constant, targets = _checked(_stratum_data(gamma, kappas, psis), sum(lam))
+    return constant * _expansion(targets, sum(lam))[lam]
 
 
 def c_chain(lam, gamma, kappas=None, psis=None):
@@ -262,7 +269,7 @@ def eta_form(sigma, g, r):
 def _eta(sigma, g, r):
     d = 2 * g - 3 - r
     lam = partition(tuple(2 * s + 1 for s in sigma) + (1,) * (r + 1 - len(sigma)))
-    return tabulate(r, lambda tau: c_coefficient(lam, (d,), (tau,)))
+    return tabulate(r, lambda tau: _expansion(((d, tau, ()),), d)[lam])
 
 
 def eta_prime_form(sigma, g, r):

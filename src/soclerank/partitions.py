@@ -22,7 +22,7 @@ such splits, one per target part.  ``enumerate_set_partitions`` and
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, inf, prod
+from math import comb, factorial, inf, prod
 
 # Most work one ``set_partition_totals`` call may take: its steps,
 # (parts + 1) * prod over kinds of C(m + 2, 2), m the kind's multiplicity,
@@ -290,15 +290,11 @@ def restrict(sigma, indices):
     indices = tuple(indices)
     if len(set(indices)) != len(indices):
         raise ValueError("restriction indices must be distinct")
-    if indices == ():
-        return ()
     return partition(sigma[i] for i in indices)
 
 
 def automorphism_count(lam):
     """Product of factorials of the part multiplicities of ``lam``."""
-    from math import factorial
-
     lam = partition(lam)
     count = 1
     for v in set(lam):

@@ -9,7 +9,7 @@ each, reporting every number involved so a failing cell is diagnosable.
 from math import gcd
 from operator import mul
 
-from .coeffs import _row, eta_form, v_form
+from .coeffs import LinearForm, eta_form, stratum_row
 from .exact import fz_count, partition_count
 from .partitions import enumerate_partitions, partition
 from .socle import complementary_degree, mu
@@ -69,14 +69,14 @@ def boundary_rows(g, d):
 
     def decorated():
         for data in _walk(g, d, range(1, 2 * g - 3 - d)) - pure:
-            yield _row(data)
+            yield stratum_row(data)
 
-    return map(_row, pure), decorated()
+    return map(stratum_row, pure), decorated()
 
 
 def kappa_row(tau, d):
     """The one-vertex row pi -> theta(pi + tau) as a form on P(d)."""
-    return v_form(((d, partition(tau), ()),), d)
+    return LinearForm(d, stratum_row(((d, partition(tau), ()),)))
 
 
 def smooth_matrix(g, r, max_length=None):

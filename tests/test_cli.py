@@ -323,13 +323,21 @@ def test_coeff_degree_cap_exits_two(capsys):
                          ids=["40-ones-kappa", "4000-ones-psi"])
 def test_coeff_row_cap_exits_two(capsys, decoration):
     # each theta of the row passes the kernel bounds, their sum does not:
-    # v_form answers before the first of them
+    # the row checks answer before the first of them
     start = time.perf_counter()
     code, out, err = run(capsys, ["coeff", "--lambda", "[18]", "--gamma", "[18]"] + decoration)
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: row too large")
+
+
+def test_verify_rank_skips_the_row_caps(capsys):
+    # the (13, 0) cell's kappa row runs over all of P(23), past what the
+    # coeff row caps let in, and still answers
+    code, out, err = run(capsys, ["verify", "rank", "--g", "13", "--r", "0"])
+    assert code == 0 and err == ""
+    assert "rank_stacked=1 rank_boundary=0 rank_smooth=1 ok=True" in out
 
 
 @pytest.mark.parametrize("argv", [

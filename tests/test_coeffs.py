@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import soclerank.coeffs as coeffs
 from soclerank.coeffs import (
     LinearForm,
     block_factor,
@@ -24,6 +25,7 @@ from soclerank.partitions import (
     enumerate_partitions,
     enumerate_refining_functions,
 )
+from soclerank.ranks import verify_rank_theorem, verify_span_equality
 from soclerank.socle import mu, mu_prime, theta
 
 
@@ -108,6 +110,26 @@ def test_c_pure_coefficients():
 def test_c_pinned_values():
     assert c_coefficient((1, 1), (2,)) == 0
     assert c_coefficient((1, 1), (2,), ((1,),)) == 16
+
+
+def test_row_caps_accept_small_decorations_at_high_degree():
+    # the caps weigh what a row costs, so one kappa part or a few psi ones
+    # pass at degrees 18-21; the checks compute no theta
+    for data in [((21, (1,), ()),), ((21, (), (1, 1, 1)),), ((18, (), (1,) * 6),)]:
+        coeffs._checked(data, sum(m for m, _, _ in data))
+
+
+def test_internal_rows_skip_the_row_caps(monkeypatch):
+    # kappa and eta rows come from canonical data; the caps guard the
+    # outside entries v_form and c_coefficient alone
+    monkeypatch.setattr(coeffs, "MAX_ROW_WORK", 0)
+    coeffs._eta.cache_clear()
+    coeffs._expansion.cache_clear()
+    assert verify_rank_theorem(5, 1)["ok"] and verify_span_equality(6, 1)["ok"]
+    with pytest.raises(ValueError, match="row too large"):
+        v_form(((2, (), ()),), 2)
+    with pytest.raises(ValueError, match="row too large"):
+        c_coefficient((1, 1), (2,))
 
 
 def test_c_expansion_reconstructs_form():

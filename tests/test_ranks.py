@@ -4,7 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
-from soclerank.coeffs import _row, pure_row, v_form
+from soclerank.coeffs import pure_row, stratum_row, v_form
 from soclerank.exact import partition_count
 from soclerank.partitions import enumerate_partitions
 from soclerank.ranks import (
@@ -277,15 +277,15 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
 
 def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
     # for d <= g-2 the pure rows reach the width |P(d)|, so the decorated
-    # block is never advanced and _row never sees a decoration
+    # block is never advanced and stratum_row never sees a decoration
     calls = []
 
     def pure_only(data):
         assert not any(kap or psi for _, kap, psi in data), data
         calls.append(data)
-        return _row(data)
+        return stratum_row(data)
 
-    monkeypatch.setattr("soclerank.ranks._row", pure_only)
+    monkeypatch.setattr("soclerank.ranks.stratum_row", pure_only)
     for g in range(2, 9):
         for d in range(0, g - 1):
             report = verify_housing_theorem(g, d)
