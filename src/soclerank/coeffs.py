@@ -22,8 +22,9 @@ from .partitions import (
     merge_sign,
     merge_sum,
     partition,
+    position,
     restrict,
-    splits,
+    unions,
 )
 from .socle import mu_dprime, theta, theta_work
 
@@ -47,15 +48,10 @@ class LinearForm:
             raise ValueError("form must carry one value per partition")
 
     def __call__(self, pi):
-        return self.values[_position(self.degree)[partition(pi)]]
+        return self.values[position(self.degree)[partition(pi)]]
 
     def items(self):
         return tuple(zip(enumerate_partitions(self.degree), self.values))
-
-
-@lru_cache(maxsize=None)
-def _position(d):
-    return {p: i for i, p in enumerate(enumerate_partitions(d))}
 
 
 def tabulate(d, func):
@@ -122,7 +118,7 @@ def _checked(data, d):
 
 def _split_vertices(data):
     # a zero-remainder vertex only scales the row by its theta value; the
-    # others stay (m, kappa, psi) triples, sorted as ``strata._walk`` yields them
+    # others stay (m, kappa, psi) triples, sorted as ``strata.reduced_data`` yields them
     constant = prod(theta(kap, psi) for m, kap, psi in data if not m)
     return constant, tuple(sorted((v for v in data if v[0]), reverse=True))
 
@@ -131,17 +127,20 @@ def _split_vertices(data):
 def stratum_row(targets):
     """Unchecked row on P(d) of sorted nonzero (m, kappa, psi) triples summing to d."""
     # one vertex pairs pi with theta(pi + kappa; psi); a refining map onto more
-    # sends a labeled sub-multiset of pi to the first vertex and the rest onto
-    # the others, so their row is the split convolution; no vertex leaves (1,)
+    # sends a labeled sub-multiset s of pi to the first vertex and the rest t
+    # onto the others, so each pair (s, t) adds ways * head[s] * tail[t] at
+    # pi = s + t; no vertex leaves (1,)
     if not targets:
         return (1,)
     (m, kap, psi), d = targets[0], sum(v[0] for v in targets)
     if len(targets) == 1:
         return tuple(theta(partition(pi + kap), psi) for pi in enumerate_partitions(m))
     head, tail = stratum_row(targets[:1]), stratum_row(targets[1:])
-    hpos, tpos = _position(m), _position(d - m)
-    return tuple(sum(ways * head[hpos[taken]] * tail[tpos[left]]
-                     for taken, left, ways in splits(pi, m)) for pi in enumerate_partitions(d))
+    row = [0] * len(enumerate_partitions(d))
+    for h, pairs in zip(head, unions(m, d - m)):
+        for (k, ways), t in zip(pairs, tail):
+            row[k] += ways * h * t
+    return tuple(row)
 
 
 def c_expansion(form):
@@ -265,7 +264,6 @@ def eta_form(sigma, g, r):
     return _eta(sigma, g, r)
 
 
-@lru_cache(maxsize=None)
 def _eta(sigma, g, r):
     d = 2 * g - 3 - r
     lam = partition(tuple(2 * s + 1 for s in sigma) + (1,) * (r + 1 - len(sigma)))
@@ -303,21 +301,15 @@ def block_factor(block, sigma):
 
     Value (2*s + b + 1)! / prod (2*sigma_j+1)!! over j in the block,
     where s is the block sum and b the block size; always a positive
-    integer.
+    integer, being (2*s + b + 1) times the comb count of the block.
     """
     block = tuple(block)
     if not block:
         raise ValueError("block must be nonempty")
     sigma = tuple(sigma)
     s = sum(sigma[j] for j in block)
-    num = factorial(2 * s + len(block) + 1)
-    den = 1
-    for j in block:
-        den *= double_factorial(2 * sigma[j] + 1)
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("block factor is not an integer")
-    return q
+    return factorial(2 * s + len(block) + 1) // prod(double_factorial(2 * sigma[j] + 1)
+                                                     for j in block)
 
 
 def verify_triangular_identity(sigma, g, r):

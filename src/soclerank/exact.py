@@ -7,7 +7,6 @@ with the denominator omitted when it is 1.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 
 def factorial(n):
@@ -17,7 +16,6 @@ def factorial(n):
     return math.factorial(n)
 
 
-@lru_cache(maxsize=None)
 def double_factorial(n):
     """n!! with the usual empty-product conventions (-1)!! = 0!! = 1."""
     if n < -1:
@@ -46,18 +44,13 @@ def comb_count(pi):
     """(2|pi| + len(pi))! / prod((2*p+1)!!) -- always an exact integer.
 
     This is the number of linear extensions of a disjoint union of
-    comb-shaped posets, one comb on 2*p+1 elements per part p.
+    comb-shaped posets, one comb on 2*p+1 elements per part p: the
+    multinomial over the (2*p+1)! times the product of the (2*p)!!.
     """
     pi = tuple(pi)
     if any(p <= 0 for p in pi):
         raise ValueError("comb sizes must be positive")
-    num = factorial(2 * sum(pi) + len(pi))
-    den = 1
-    for p in pi:
-        den *= double_factorial(2 * p + 1)
-    if num % den:
-        raise ArithmeticError("comb count division is not exact; bad input %r" % (pi,))
-    return num // den
+    return factorial(2 * sum(pi) + len(pi)) // math.prod(double_factorial(2 * p + 1) for p in pi)
 
 
 def _allowed_fz_part(p):

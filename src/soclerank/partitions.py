@@ -13,11 +13,13 @@ target part equals the sum of the source parts mapped onto it.
 a summand that depends only on block contents is the same for parts of
 equal value, so one dynamic program over part multiplicities (the
 exponential formula for multiset partitions) replaces the Bell-number
-enumeration.  ``splits`` lists the sub-multisets of a partition with
-their labeled multiplicities; a sum over refining maps is a product of
-such splits, one per target part.  ``enumerate_set_partitions`` and
-``enumerate_refining_functions`` stay as the slow references;
-``merge_sum`` is the one sum over coarsenings built on the former.
+enumeration.  ``position`` inverts the canonical order of P(n), and
+``unions`` tabulates, for every pair in P(m) x P(n), the index of their
+multiset union in P(m + n) with its labeled multiplicity: a sum over
+refining maps is a product of such unions, one per target part.
+``enumerate_set_partitions`` and ``enumerate_refining_functions`` stay
+as the slow references; ``merge_sum`` is the one sum over coarsenings
+built on the former.
 """
 
 from functools import lru_cache
@@ -72,6 +74,28 @@ def _generate(n, largest, length_bound):
     for first in range(min(n, largest), 0, -1):
         for rest in _generate(n - first, first, length_bound - 1):
             yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def position(n):
+    """The inverse of ``enumerate_partitions(n)``: each partition's index."""
+    return {p: i for i, p in enumerate(enumerate_partitions(n))}
+
+
+@lru_cache(maxsize=None)
+def unions(m, n):
+    """The multiset unions of P(m) and P(n) as (index, ways) pairs, row s, entry t.
+
+    Rows follow P(m) and entries P(n) in canonical order; index is the
+    place of s + t in P(m + n), and ways = prod over values v of
+    C(c_v(s) + c_v(t), c_v(s)), the labeled choices of positions of the
+    union that take s.
+    """
+    index = position(m + n)
+    return tuple(tuple((index[partition(s + t)], prod(comb(s.count(v) + t.count(v), s.count(v))
+                                                      for v in set(s)))
+                       for t in enumerate_partitions(n))
+                 for s in enumerate_partitions(m))
 
 
 def enumerate_set_partitions(indices):
@@ -175,29 +199,13 @@ def _free(slots, factor, caps, kinds):
     room = [inf if c is None else c for c in caps]
     room[cls] -= 1
     totals = {}
-    for taken, ways in _picks(rest, room, None):
+    for taken, ways in _picks(rest, room):
         block = _block(kinds, (taken[0] + 1,) + taken[1:])
         fill, scale = slots(block), ways * factor(block)
         for (k, a), inner in _free(slots, factor, caps, _left(rest, taken)).items():
             key = (k + 1, a + fill)
             totals[key] = totals.get(key, 0) + scale * comb(a + fill, fill) * inner
     return totals
-
-
-@lru_cache(maxsize=None)
-def splits(pi, a):
-    """Every way to take parts of value sum ``a`` out of the partition ``pi``.
-
-    Returns (taken, left, ways) triples: the taken sub-multiset and the
-    parts left over, both as partitions, and the number of labeled
-    choices of positions of ``pi`` that take it.
-    """
-    kinds = _kinds((pi,))
-    out = []
-    for taken, ways in _picks(kinds, [inf], a):
-        left = [n - c for (_, _, n), c in zip(kinds, taken)]
-        out.append((_block(kinds, taken), _block(kinds, left), ways))
-    return tuple(out)
 
 
 def _kinds(classes):
@@ -209,33 +217,28 @@ def _kinds(classes):
     )
 
 
-def _picks(kinds, room, need):
+def _picks(kinds, room):
     """Every sub-multiset of ``kinds`` with its number of labeled choices.
 
     Returns (count taken per kind, product of binomials) pairs.  ``room``
-    caps per class how many parts the pick may take; ``need`` fixes the
-    value sum of the pick, or is None for any sum.
+    caps per class how many parts the pick may take.
     """
     out = []
     taken = [0] * len(kinds)
 
-    def rec(i, ways, need):
+    def rec(i, ways):
         if i == len(kinds):
-            if not need:
-                out.append((tuple(taken), ways))
+            out.append((tuple(taken), ways))
             return
         cls, value, count = kinds[i]
-        top = min(count, room[cls])
-        if need is not None:
-            top = min(top, need // value)
-        for c in range(top + 1):
+        for c in range(min(count, room[cls]) + 1):
             taken[i] = c
             room[cls] -= c
-            rec(i + 1, ways * comb(count, c), None if need is None else need - c * value)
+            rec(i + 1, ways * comb(count, c))
             room[cls] += c
         taken[i] = 0
 
-    rec(0, 1, need)
+    rec(0, 1)
     return out
 
 

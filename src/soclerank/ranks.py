@@ -13,7 +13,7 @@ from .coeffs import LinearForm, eta_form, stratum_row
 from .exact import fz_count, partition_count
 from .partitions import enumerate_partitions, partition
 from .socle import complementary_degree, mu
-from .strata import _walk, is_housing_partition
+from .strata import is_housing_partition, reduced_data
 
 
 def exact_rank(rows, *more):
@@ -65,10 +65,10 @@ def boundary_rows(g, d):
     (none at d = 2g-3); the second, whose walk runs only once it is
     advanced, the generators with k >= 1 decorations not in the first.
     """
-    pure = _walk(g, d, range(min(1, 2 * g - 3 - d)))
+    pure = reduced_data(g, d, range(min(1, 2 * g - 3 - d)))
 
     def decorated():
-        for data in _walk(g, d, range(1, 2 * g - 3 - d)) - pure:
+        for data in reduced_data(g, d, range(1, 2 * g - 3 - d)) - pure:
             yield stratum_row(data)
 
     return map(stratum_row, pure), decorated()

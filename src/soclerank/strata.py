@@ -184,7 +184,7 @@ def enumerate_pure_housing_partitions(g, d):
     the single undecorated vertex itself is the only stratum.
     """
     return frozenset(partition(m for m, _, _ in data)
-                     for data in _walk(g, d, (0,)))
+                     for data in reduced_data(g, d, (0,)))
 
 
 def enumerate_boundary_generators(g, d):
@@ -198,13 +198,15 @@ def enumerate_boundary_generators(g, d):
     the row span unchanged.
     Output is deduplicated and canonically sorted.
     """
-    return tuple(sorted(_walk(g, d, range(0, 2 * g - 3 - d))))
+    return tuple(sorted(reduced_data(g, d, range(0, 2 * g - 3 - d))))
 
 
-def _walk(g, d, budgets):
+def reduced_data(g, d, budgets):
     """Reduced data of the strata with k decorations, for each k in ``budgets``.
 
-    A stratum with k decorations has 2g-2-d-k vertices; each of their
+    Returns a set of data, each a tuple of nonzero (remainder, kappa,
+    psi) triples in descending order, the format ``coeffs.stratum_row``
+    takes.  A stratum with k decorations has 2g-2-d-k vertices; each of their
     degree multisets gets every stable genus assignment, whose
     decorations of total size k ``_fold`` reduces.
     Only the (dimension, min(valence, dimension)) pairs of the

@@ -2,7 +2,7 @@
 
 Every fast sum in ``socle`` is compared exactly with the direct sum over
 ``enumerate_set_partitions``, and every stratum row of ``coeffs`` (a
-product of one-vertex rows over ``splits``) with the direct sum over
+product of one-vertex rows over ``unions``) with the direct sum over
 ``enumerate_refining_functions``, first on full small grids and then on
 random partitions drawn by Hypothesis; ``c_coefficient`` is compared
 with the chain recursion ``c_chain``.
@@ -25,7 +25,7 @@ from soclerank.partitions import (
     restrict,
     separates,
     set_partition_totals,
-    splits,
+    unions,
 )
 from soclerank.socle import mu, mu_dprime, mu_prime, theta
 from soclerank.strata import enumerate_boundary_generators
@@ -132,22 +132,25 @@ def test_set_partition_totals_counts_set_partitions():
                 assert set_partition_totals((sigma, tau), _no_slots, _unit, caps) == expected
 
 
-def _split_count(source, target):
-    # the split product of unit one-vertex rows: each target part in turn
-    # takes a labeled sub-multiset of what the earlier parts left
+def _union_counts(target):
+    # the union product of unit one-vertex rows on P(sum(target)): the first
+    # target part takes a labeled sub-multiset, the later parts the rest
     if not target:
-        return 1
-    return sum(ways * _split_count(left, target[1:])
-               for _, left, ways in splits(source, target[0]))
+        return [1]
+    m, tail = target[0], _union_counts(target[1:])
+    row = [0] * len(enumerate_partitions(sum(target)))
+    for pairs in unions(m, sum(target) - m):
+        for (k, ways), t in zip(pairs, tail):
+            row[k] += ways * t
+    return row
 
 
 def test_split_products_count_refining_maps():
     for n in range(0, 8):
-        for source in enumerate_partitions(n):
-            for target in enumerate_partitions(n):
-                assert _split_count(source, target) == len(
-                    enumerate_refining_functions(target, source)), (source, target)
-    assert splits((2,), 3) == ()
+        for target in enumerate_partitions(n):
+            counts = _union_counts(target)
+            for source, count in zip(enumerate_partitions(n), counts):
+                assert count == len(enumerate_refining_functions(target, source)), (source, target)
 
 
 def test_theta_matches_set_partition_sum():
@@ -182,7 +185,7 @@ def test_m_form_matches_refining_map_sum():
 
 
 def test_v_form_matches_refining_map_sum():
-    for g in range(2, 7):
+    for g in range(2, 8):
         for d in range(0, 2 * g - 2):
             for data in enumerate_boundary_generators(g, d):
                 form = v_form(data, d)

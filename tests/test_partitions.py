@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -12,9 +14,10 @@ from soclerank.partitions import (
     merge_sign,
     merge_sum,
     partition,
+    position,
     restrict,
     separates,
-    splits,
+    unions,
 )
 
 
@@ -87,18 +90,30 @@ def test_merge_sum_counts():
     assert sorted(seen) == [(2, 1, 1), (2, 2), (3, 1), (3, 1), (4,)]
 
 
-def test_splits_partition_the_labeled_subsets():
-    # each split takes parts of sum a and leaves the rest; over all a the
-    # labeled choices are the 2^len(pi) subsets of the positions of pi
+def test_position_inverts_the_enumeration():
+    for n in range(0, 13):
+        parts = enumerate_partitions(n)
+        assert len(position(n)) == len(parts)
+        assert all(parts[i] == p for p, i in position(n).items())
+
+
+def test_unions_count_the_labeled_subsets():
+    # each entry of unions(m, n - m) indexes the sorted union in P(n); the
+    # ways that land on pi, over all m, count the subsets of the positions
+    # of pi by the parts they take, 2^len(pi) in all
     for n in range(0, 9):
-        for pi in enumerate_partitions(n):
-            total = 0
-            for a in range(0, n + 1):
-                for taken, left, ways in splits(pi, a):
-                    assert sum(taken) == a, (pi, a, taken)
-                    assert partition(taken + left) == pi, (pi, a, taken, left)
-                    total += ways
-            assert total == 2 ** len(pi), pi
+        landed = {pi: Counter() for pi in enumerate_partitions(n)}
+        for m in range(0, n + 1):
+            for s, pairs in zip(enumerate_partitions(m), unions(m, n - m)):
+                for t, (k, ways) in zip(enumerate_partitions(n - m), pairs):
+                    pi = enumerate_partitions(n)[k]
+                    assert pi == partition(s + t), (s, t, pi)
+                    landed[pi][s] += ways
+        for pi, counts in landed.items():
+            subsets = Counter(partition(pi[i] for i in c) for r in range(len(pi) + 1)
+                              for c in combinations(range(len(pi)), r))
+            assert counts == subsets, pi
+            assert sum(counts.values()) == 2 ** len(pi), pi
 
 
 def test_refinement_exists_iff_merge_reaches():

@@ -21,10 +21,10 @@ from soclerank.ranks import (
     verify_span_equality,
 )
 from soclerank.strata import (
-    _walk,
     enumerate_boundary_generators,
     enumerate_pure_housing_partitions,
     is_housing_partition,
+    reduced_data,
 )
 
 
@@ -263,7 +263,7 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
         for d in range(0, 2 * g - 2):
             generators = enumerate_boundary_generators(g, d)
             if d < 2 * g - 3:
-                assert _walk(g, d, (0,)) == {
+                assert reduced_data(g, d, (0,)) == {
                     data for data in generators if not any(kap or psi for _, kap, psi in data)
                 }
             canonical = [v_form(data, d).values for data in generators]
