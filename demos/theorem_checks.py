@@ -10,8 +10,7 @@ is exact integer arithmetic; a report is a small dict with an ok flag.
 
 from soclerank import (
     betti_report,
-    boundary_rows,
-    exact_rank,
+    boundary_span,
     housing_rank_formula,
     verify_housing_theorem,
     verify_length_restriction,
@@ -21,10 +20,12 @@ from soclerank import (
 
 # one cell in detail: genus 5, degree 4
 g, d = 5, 4
-# the pure strata rows, then the decorated ones, ranked in one pass
-rank_pure, rank_full = exact_rank(*boundary_rows(g, d))
+# the pure strata rows are ranked, and the decorated strata are checked
+# against the kernel of those rows without building their rows
+rank_pure, rank_full, kernel = boundary_span(g, d)
 print("pure matrix rank:    ", rank_pure)
 print("full matrix rank:    ", rank_full)
+print("kernel vectors:      ", len(kernel))
 print("counting formula:    ", housing_rank_formula(g, d))
 print("report:", verify_housing_theorem(g, d))
 

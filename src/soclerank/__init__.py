@@ -66,7 +66,7 @@ from .coeffs import (
 )
 from .ranks import (
     betti_report,
-    boundary_rows,
+    boundary_span,
     eta_matrix,
     exact_rank,
     housing_rank_formula,

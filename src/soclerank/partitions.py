@@ -189,6 +189,36 @@ def set_partition_work(classes, slots):
     return steps * ((a * a.bit_length()) ** 2 + 2 ** 22)
 
 
+def shared_work(multisets, slots):
+    """The work of ``set_partition_totals`` on one-class multisets sharing its memo.
+
+    The memo's states are multiplicity vectors: each multiset c, and
+    every sub-multiset of c less one part of its largest value, since
+    each step of the kernel takes a block holding that part.  One walk
+    lists every distinct state once, computing no factor, and sums the
+    work of each: its picks c_1 * prod_(i > 1) (c_i + 1) of the parts
+    joining the first part's block, times its parts n + 1, times
+    b**2 + 2**22 with b = a * a.bit_length() for a its slots, as
+    ``set_partition_work`` counts a whole multiset.
+    """
+    tops = {tuple((v, parts.count(v)) for v in sorted(set(parts), reverse=True))
+            for parts in map(partition, multisets)} - {()}
+    todo = [((v, c - 1),) * (c > 1) + top[1:] for top in tops for v, c in top[:1]]
+    seen = set()
+    while todo:
+        state = todo.pop()
+        if state and state not in seen:
+            seen.add(state)
+            todo += [state[:i] + ((v, c - 1),) * (c > 1) + state[i + 1:]
+                     for i, (v, c) in enumerate(state)]
+    total = 0
+    for state in seen | tops:
+        picks = state[0][1] * prod(c + 1 for _, c in state[1:])
+        a = sum(c * slots((v,)) for v, c in state)
+        total += picks * (sum(c for _, c in state) + 1) * ((a * a.bit_length()) ** 2 + 2 ** 22)
+    return total
+
+
 @lru_cache(maxsize=None)
 def _free(slots, factor, caps, kinds):
     if not kinds:

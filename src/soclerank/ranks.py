@@ -4,14 +4,17 @@ The verifiers build pairing rows, boundary stratum forms (columns
 indexed by P(d) in canonical order) or socle integrals of the smooth
 locus, and rank nested blocks of them over the rationals in one pass
 each, reporting every number involved so a failing cell is diagnosable.
+The decorated boundary strata are checked against the kernel of the
+pure strata rows by contraction, without building their rows.
 """
 
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
 from .coeffs import LinearForm, eta_form, stratum_row
 from .exact import fz_count, partition_count
-from .partitions import enumerate_partitions, partition
+from .partitions import enumerate_partitions, partition, unions
 from .socle import complementary_degree, mu
 from .strata import is_housing_partition, reduced_data
 
@@ -25,32 +28,43 @@ def exact_rank(rows, *more):
     have the width of the first row and int entries (not bools), or
     ValueError is raised.  The pass keeps an integer basis K of the
     vectors orthogonal to every row so far, starting from the unit
-    vectors; the rank is width - |K|.  A row with v = (row . k for k in
-    K) zero lies in the span; otherwise the first k_j with v_j nonzero
-    is dropped and every other k_i with v_i nonzero becomes
-    v_j*k_i - v_i*k_j, divided by its gcd.  Once K is empty no further
-    row is consumed, and every later block reports the width.
+    vectors, and updates it by ``_reduce``; the rank is width - |K|.
+    Once K is empty no further row is consumed, and every later block
+    reports the width.
     """
     kernel, ranks = None, []
     for block in (rows,) + more:
         for row in block if kernel != [] else ():
             if kernel is None:
                 width = len(row)
-                kernel = [[int(i == j) for j in range(width)] for i in range(width)]
+                kernel = _units(width)
             if len(row) != width:
                 raise ValueError("rows must all have the same length")
             if not set(map(type, row)) <= {int}:
                 raise ValueError("matrix entries must be ints")
-            v = [sum(map(mul, row, k)) for k in kernel]
-            j = next((i for i, x in enumerate(v) if x), None)
-            if j is not None:
-                lead, pivot = v.pop(j), kernel.pop(j)
-                kernel = [k if not x else _primitive([lead * a - x * b for a, b in zip(k, pivot)])
-                          for k, x in zip(kernel, v)]
+            kernel = _reduce(kernel, row)
             if not kernel:
                 break
         ranks.append(0 if kernel is None else width - len(kernel))
     return tuple(ranks) if more else ranks[0]
+
+
+def _units(width):
+    return [[int(i == j) for j in range(width)] for i in range(width)]
+
+
+def _reduce(kernel, row):
+    # the basis of the vectors in span(kernel) orthogonal to row, as a new
+    # list: with v = (row . k for k in kernel) zero the row lies in the span;
+    # otherwise the first k_j with v_j nonzero is dropped and every other k_i
+    # with v_i nonzero becomes v_j*k_i - v_i*k_j, divided by its gcd
+    v = [sum(map(mul, row, k)) for k in kernel]
+    j = next((i for i, x in enumerate(v) if x), None)
+    if j is None:
+        return kernel
+    lead, pivot = v[j], kernel[j]
+    return [k if not x else _primitive([lead * a - x * b for a, b in zip(k, pivot)])
+            for i, (k, x) in enumerate(zip(kernel, v)) if i != j]
 
 
 def _primitive(vector):
@@ -58,20 +72,85 @@ def _primitive(vector):
     return [x // div for x in vector]
 
 
-def boundary_rows(g, d):
-    """Rows on P(d) of every reduced boundary generator of (g, d), in two lazy blocks.
+@lru_cache(maxsize=None)
+def boundary_span(g, d):
+    """The boundary rank of (g, d) with its certificate, computed once per (g, d).
 
-    The first block holds the pure strata, the k = 0 slice of the walk
-    (none at d = 2g-3); the second, whose walk runs only once it is
-    advanced, the generators with k >= 1 decorations not in the first.
+    Returns (rank_pure, rank_full, kernel).  The pure strata, the k = 0
+    slice of the walk (none at d = 2g-3), are built and reduced first;
+    the kernel K of those rows is then checked against every decorated
+    datum by ``kernel_products``, so no decorated row is built while
+    the products vanish.  A datum with a nonzero product has its row
+    built and reduced into K, and the walk restarts after it; earlier
+    rows stay orthogonal, since the new K lies in the span of the old,
+    so rank_full is exact whatever the products.  The kernel is a
+    tuple of tuples, orthogonal to every boundary row, with
+    width - rank_full vectors; callers continue from it.
     """
+    width = len(enumerate_partitions(d))
     pure = reduced_data(g, d, range(min(1, 2 * g - 3 - d)))
+    kernel = _units(width)
+    for data in pure:
+        kernel = _reduce(kernel, stratum_row(data))
+        if not kernel:
+            break
+    rank_pure = width - len(kernel)
+    if kernel:
+        decorated = reduced_data(g, d, range(1, 2 * g - 3 - d))
+        decorated -= pure  # in place: no second set of the data at the peak
+        decorated = sorted(decorated, reverse=True)
+        start = 0
+        while kernel:
+            products = enumerate(kernel_products(kernel, decorated[start:]), start)
+            start = next((i for i, v in products if any(v)), None)
+            if start is None:
+                break
+            kernel = _reduce(kernel, stratum_row(decorated[start]))
+            start += 1
+    return rank_pure, width - len(kernel), tuple(map(tuple, kernel))
 
-    def decorated():
-        for data in reduced_data(g, d, range(1, 2 * g - 3 - d)) - pure:
-            yield stratum_row(data)
 
-    return map(stratum_row, pure), decorated()
+def kernel_products(kernel, data):
+    """Yield, per datum, the products of the kernel vectors with its row, unbuilt.
+
+    ``data`` are sorted nonzero (m, kappa, psi) triples summing to d,
+    the vectors lie on P(d).  The row of a datum is the product of its
+    one-vertex rows h, and k . (h * rest) = k' . rest with
+    k'[t] = sum over s of h[s] * ways * k[s + t], over the pairs of
+    ``unions(m, n)``; so every k is pulled back through the vertices
+    one at a time, and at the last vertex the product is one dot
+    product with its one-vertex row.  Data met in sorted order share
+    the vectors pulled through their common prefix.
+    """
+    path, pulled = (), [kernel]
+    for datum in data:
+        head, last = datum[:-1], datum[-1]
+        if head != path:
+            keep = 0
+            while keep < min(len(path), len(head)) and path[keep] == head[keep]:
+                keep += 1
+            del pulled[keep + 1:]
+            n = sum(m for m, _, _ in datum[keep:])
+            for vertex in head[keep:]:
+                n -= vertex[0]
+                pulled.append(_pull(pulled[-1], stratum_row((vertex,)), unions(vertex[0], n)))
+            path = head
+        row = stratum_row((last,))
+        yield tuple(sum(map(mul, k, row)) for k in pulled[-1])
+
+
+def _pull(vectors, head, table):
+    # k'[t] = sum over s of head[s] * ways * k[index] for the (index, ways)
+    # pair of s and t in the unions table; the scaled pairs serve every k
+    scaled = [(t, i, h * ways) for h, pairs in zip(head, table) if h
+              for t, (i, ways) in enumerate(pairs)]
+    out = []
+    for k in vectors:
+        pulled = [0] * len(table[0])
+        for t, i, c in scaled:
+            pulled[t] += c * k[i]
+        out.append(pulled)
+    return out
 
 
 def kappa_row(tau, d):
@@ -101,7 +180,7 @@ def verify_housing_theorem(g, d):
     """Ranks of the pure and full boundary matrices against the counting formula."""
     if complementary_degree(g, d) < 1:
         raise ValueError("need 2g-3-d >= 1")
-    rank_pure, rank_full = exact_rank(*boundary_rows(g, d))
+    rank_pure, rank_full, _ = boundary_span(g, d)
     formula = housing_rank_formula(g, d)
     return {
         "rank_pure": rank_pure,
@@ -117,8 +196,12 @@ def verify_rank_theorem(g, r):
     complementary_degree(g, d)
     if not 0 <= r <= g - 2:
         raise ValueError("need 0 <= r <= g-2")
-    kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)]
-    _, rank_boundary, rank_stacked = exact_rank(*boundary_rows(g, d), kappa)
+    _, rank_boundary, kernel = boundary_span(g, d)
+    for tau in enumerate_partitions(r):
+        if not kernel:
+            break
+        kernel = _reduce(kernel, kappa_row(tau, d).values)
+    rank_stacked = len(enumerate_partitions(d)) - len(kernel)
     rank_smooth = exact_rank(smooth_matrix(g, r))
     return {
         "rank_stacked": rank_stacked,

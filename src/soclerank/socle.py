@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import double_factorial, factorial, multinomial
-from .partitions import merge_sign, merge_sum, partition, set_partition_totals, set_partition_work
+from .partitions import (merge_sign, merge_sum, partition, set_partition_totals,
+                         set_partition_work, shared_work)
 
 # Largest psi exponent sum ``theta`` takes.  On a 2-vCPU machine theta of
 # 198 ones with 4000 psi ones takes 6.1 s; [1] with 120000 psi ones took 12 s.
@@ -97,6 +98,14 @@ def _theta(sigma, tau):
 def theta_work(sigma):
     """The kernel work of ``theta(sigma, tau)``, which ``partitions.MAX_WORK`` bounds."""
     return set_partition_work((sigma,), _theta_slots)
+
+
+def shared_theta_work(sigmas):
+    """The kernel work of ``theta`` over ``sigmas``, counting each shared memo state once.
+
+    At most the sum of their ``theta_work``.
+    """
+    return shared_work(sigmas, _theta_slots)
 
 
 def _theta_slots(block):

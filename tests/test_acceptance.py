@@ -57,7 +57,7 @@ def _report(capsys, index, description, failures):
 
 def test_criterion_1_housing_rank_grid(capsys):
     failures = []
-    cells = [(g, d) for g in range(2, 10) for d in range(0, 2 * g - 3)]
+    cells = [(g, d) for g in range(2, 11) for d in range(0, 2 * g - 3)]
     for g, d in cells:
         report = verify_housing_theorem(g, d)
         if not report["ok"]:
@@ -69,7 +69,7 @@ def test_criterion_1_housing_rank_grid(capsys):
 
 def test_criterion_2_rank_additivity_grid(capsys):
     failures = []
-    for g in range(2, 10):
+    for g in range(2, 11):
         for r in range(0, g - 1):
             report = verify_rank_theorem(g, r)
             if not report["ok"]:

@@ -318,18 +318,35 @@ def test_coeff_degree_cap_exits_two(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("decoration", [["--kappa", json.dumps([[1] * 40])],
-                                        ["--psi", json.dumps([[1] * 4000])]],
-                         ids=["40-ones-kappa", "4000-ones-psi"])
-def test_coeff_row_cap_exits_two(capsys, decoration):
+@pytest.mark.parametrize("row", [
+    ["--lambda", "[18]", "--gamma", "[18]", "--kappa", json.dumps([[1] * 40])],
+    ["--lambda", "[18]", "--gamma", "[18]", "--psi", json.dumps([[1] * 4000])],
+    ["--lambda", "[2]", "--gamma", "[2]", "--kappa", json.dumps([[1] * 127]),
+     "--psi", json.dumps([[1] * 4000])],
+], ids=["40-ones-kappa", "4000-ones-psi", "127-ones-kappa-4000-ones-psi"])
+def test_coeff_row_cap_exits_two(capsys, row):
     # each theta of the row passes the kernel bounds, their sum does not:
     # the row checks answer before the first of them
     start = time.perf_counter()
-    code, out, err = run(capsys, ["coeff", "--lambda", "[18]", "--gamma", "[18]"] + decoration)
+    code, out, err = run(capsys, ["coeff"] + row)
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: row too large")
+
+
+@pytest.mark.parametrize("row, value", [
+    (["--lambda", "[21]", "--gamma", "[21]", "--kappa", "[[2]]"], "2299"),
+    (["--lambda", "[21]", "--gamma", "[21]", "--kappa", "[[1,1]]"], "86801"),
+    (["--lambda", "[18]", "--gamma", "[18]", "--kappa", json.dumps([[1] * 6])], "729014010160671"),
+], ids=["21-kappa-2", "21-kappa-1-1", "18-kappa-six-ones"])
+def test_coeff_row_cap_counts_shared_thetas_once(capsys, row, value):
+    # the row's thetas share the kernel memo, so the cap weighs its states
+    # once each and these rows answer within the 10 s bound
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["coeff"] + row)
+    assert time.perf_counter() - start < 10.0
+    assert (code, out, err) == (0, value + "\n", "")
 
 
 def test_verify_rank_skips_the_row_caps(capsys):

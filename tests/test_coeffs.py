@@ -113,9 +113,11 @@ def test_c_pinned_values():
 
 
 def test_row_caps_accept_small_decorations_at_high_degree():
-    # the caps weigh what a row costs, so one kappa part or a few psi ones
-    # pass at degrees 18-21; the checks compute no theta
-    for data in [((21, (1,), ()),), ((21, (), (1, 1, 1)),), ((18, (), (1,) * 6),)]:
+    # the caps weigh what a row costs, counting the kernel states its thetas
+    # share once, so a few kappa parts or psi ones pass at degrees 18-21;
+    # the checks compute no theta
+    for data in [((21, (1,), ()),), ((21, (), (1, 1, 1)),), ((18, (), (1,) * 6),),
+                 ((21, (2,), ()),), ((21, (1, 1), ()),), ((18, (1,) * 6, ()),)]:
         coeffs._checked(data, sum(m for m, _, _ in data))
 
 

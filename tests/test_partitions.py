@@ -1,10 +1,11 @@
 import random
 from collections import Counter
-from itertools import combinations
-from math import factorial
+from itertools import combinations, product
+from math import factorial, prod
 
 import pytest
 
+from soclerank import partitions, socle
 from soclerank.partitions import (
     automorphism_count,
     enumerate_partitions,
@@ -17,6 +18,7 @@ from soclerank.partitions import (
     position,
     restrict,
     separates,
+    shared_work,
     unions,
 )
 
@@ -169,3 +171,33 @@ def test_separates_is_monotone():
         singles = sum(1 for b in blocks if len(b) == 1)
         if singles == len(ground):
             assert separates(blocks, ground)
+
+
+def test_shared_work_counts_each_kernel_state_once():
+    # the walk's states are the inputs and their sub-multisets with fewer
+    # parts of the largest value, each once; after theta of every input they
+    # are exactly the kernel memo's new entries (with the empty state), and
+    # each costs what set_partition_work sums
+    rng = random.Random(32)
+    slots = socle._theta_slots
+    for _ in range(25):
+        sigmas = [partition(rng.choice((1, 1, 2, 3, 5)) for _ in range(rng.randrange(1, 8)))
+                  for _ in range(rng.randrange(1, 5))]
+        states = set()
+        for sigma in sigmas:
+            kinds = sorted(Counter(sigma).items(), reverse=True)
+            for counts in product(*(range(c + 1) for _, c in kinds)):
+                if counts[0] < kinds[0][1] or list(counts) == [c for _, c in kinds]:
+                    states.add(tuple((v, c) for (v, _), c in zip(kinds, counts) if c))
+        states.discard(())
+        expected = 0
+        for state in states:
+            a = sum(c * slots((v,)) for v, c in state)
+            picks = state[0][1] * prod(c + 1 for _, c in state[1:])
+            expected += picks * (sum(c for _, c in state) + 1) * ((a * a.bit_length()) ** 2 + 2 ** 22)
+        assert shared_work(sigmas, slots) == shared_work(sigmas + sigmas[:1], slots) == expected
+        assert shared_work(sigmas[:1], slots) <= partitions.set_partition_work(sigmas[:1], slots)
+        partitions._free.cache_clear()
+        for sigma in sigmas:
+            socle._theta.__wrapped__(sigma, ())
+        assert partitions._free.cache_info().currsize == len(states) + 1

@@ -4,16 +4,18 @@ from math import gcd, lcm
 
 import pytest
 
+from soclerank import coeffs
 from soclerank.coeffs import pure_row, stratum_row, v_form
 from soclerank.exact import partition_count
 from soclerank.partitions import enumerate_partitions
 from soclerank.ranks import (
     betti_report,
-    boundary_rows,
+    boundary_span,
     eta_matrix,
     exact_rank,
     housing_rank_formula,
     kappa_row,
+    kernel_products,
     smooth_matrix,
     verify_housing_theorem,
     verify_length_restriction,
@@ -26,6 +28,25 @@ from soclerank.strata import (
     is_housing_partition,
     reduced_data,
 )
+
+
+def boundary_rows(g, d):
+    """Rows on P(d) of every reduced boundary generator of (g, d), in two lazy blocks.
+
+    The reference the kernel contraction of ``boundary_span`` replaces:
+    the first block holds the pure strata, the k = 0 slice of the walk
+    (none at d = 2g-3); the second, whose walk runs only once it is
+    advanced, builds the row of every generator with k >= 1 decorations
+    not in the first.  Rows come from ``coeffs.stratum_row`` as looked
+    up at call time, so a patched row reaches them.
+    """
+    pure = reduced_data(g, d, range(min(1, 2 * g - 3 - d)))
+
+    def decorated():
+        for data in reduced_data(g, d, range(1, 2 * g - 3 - d)) - pure:
+            yield coeffs.stratum_row(data)
+
+    return map(coeffs.stratum_row, pure), decorated()
 
 
 def _gauss_rank(rows):
@@ -258,7 +279,10 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
     # order and pure strata first, the kernel rank equals the echelon and
     # the Bareiss rank, and so does the rank after the pure rows; the
     # pure block's data, the k = 0 slice of the walk, are the undecorated
-    # generators, so the two blocks never overlap
+    # generators, so the two blocks never overlap; against random integer
+    # vectors, the kernel contraction equals the dot product with the
+    # built row on every datum
+    rng = random.Random(16)
     for g in range(2, 9):
         for d in range(0, 2 * g - 2):
             generators = enumerate_boundary_generators(g, d)
@@ -267,6 +291,11 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
                     data for data in generators if not any(kap or psi for _, kap, psi in data)
                 }
             canonical = [v_form(data, d).values for data in generators]
+            if d:
+                kernel = [[rng.randrange(-9, 10) for _ in range(len(enumerate_partitions(d)))]
+                          for _ in range(2)]
+                assert list(kernel_products(kernel, generators)) == [
+                    tuple(sum(a * b for a, b in zip(k, row)) for k in kernel) for row in canonical]
             pure, decorated = map(list, boundary_rows(g, d))
             assert sorted(pure + decorated) == sorted(canonical)
             rank = exact_rank(canonical)
@@ -277,7 +306,8 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
 
 def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
     # for d <= g-2 the pure rows reach the width |P(d)|, so the decorated
-    # block is never advanced and stratum_row never sees a decoration
+    # data are never walked and stratum_row never sees a decoration
+    boundary_span.cache_clear()  # earlier tests fill the span memo
     calls = []
 
     def pure_only(data):
@@ -291,6 +321,132 @@ def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
             report = verify_housing_theorem(g, d)
             assert report["rank_full"] == len(enumerate_partitions(d)) and report["ok"]
     assert calls
+
+
+def test_passing_cells_build_no_decorated_row(monkeypatch):
+    # on the cells with d >= g-1 the contraction reads one-vertex rows only:
+    # no multi-vertex row with a decoration is built while the products vanish
+    boundary_span.cache_clear()
+    decorated = []
+
+    def recorded(data):
+        if len(data) > 1 and any(kap or psi for _, kap, psi in data):
+            decorated.append(data)
+        return stratum_row(data)
+
+    monkeypatch.setattr("soclerank.ranks.stratum_row", recorded)
+    for g in range(2, 9):
+        for d in range(g - 1, 2 * g - 3):
+            assert verify_housing_theorem(g, d)["ok"]
+    assert not decorated
+
+
+def _cell_data(g, d):
+    # every reduced boundary datum of (g, d), in the order the contraction walks
+    return sorted(reduced_data(g, d, range(2 * g - 3 - d)), reverse=True)
+
+
+def _direct_products(kernel, data):
+    for datum in data:
+        row = coeffs.stratum_row(datum)
+        yield tuple(sum(a * b for a, b in zip(k, row)) for k in kernel)
+
+
+def _first_nonzero(products):
+    return next((i for i, v in enumerate(products) if any(v)), None)
+
+
+def test_corrupted_kernel_vector_is_flagged_at_the_first_direct_product():
+    rng = random.Random(61)
+    for g, d in ((5, 4), (6, 6), (7, 6), (7, 9), (8, 7), (8, 10)):
+        data = _cell_data(g, d)
+        _, _, kernel = boundary_span(g, d)
+        assert kernel and _first_nonzero(_direct_products(kernel, data)) is None
+        for _ in range(4):
+            bad = [list(k) for k in kernel]
+            bad[rng.randrange(len(bad))][rng.randrange(len(bad[0]))] += rng.choice((-1, 1))
+            first = _first_nonzero(_direct_products(bad, data))
+            assert first is not None
+            assert _first_nonzero(kernel_products(bad, data)) == first
+
+
+def test_boundary_span_matches_streamed_rows():
+    # every g <= 9 cell: the span's ranks equal those of streaming every
+    # built row into exact_rank, its kernel is orthogonal to every pure row,
+    # and the rank cells (d >= g-1) stack the kappa rows onto the same kernel
+    for g in range(2, 10):
+        for d in range(0, 2 * g - 2):
+            rank_pure, rank_full, kernel = boundary_span(g, d)
+            pure, decorated = boundary_rows(g, d)
+            pure = list(pure)
+            r = 2 * g - 3 - d
+            kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)] if d >= g - 1 else []
+            streamed = exact_rank(pure, decorated, kappa)
+            assert (rank_pure, rank_full) == streamed[:2]
+            assert len(kernel) == len(enumerate_partitions(d)) - rank_full
+            assert all(sum(a * b for a, b in zip(k, row)) == 0 for k in kernel for row in pure)
+            if kappa:
+                report = verify_rank_theorem(g, r)
+                assert (report["rank_boundary"], report["rank_stacked"]) == streamed[1:]
+
+
+def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
+    # one decorated one-vertex row gets 1 added at (m,); the contraction
+    # flags the same first datum as the rows built from it, or none when
+    # neither does; at the first vertex flagged, the span, which builds and
+    # reduces every flagged row and restarts after it, ranks exactly what
+    # streaming the built rows does
+    real = coeffs.stratum_row
+    for g, d in ((6, 5), (6, 6), (7, 8)):
+        data = _cell_data(g, d)
+        _, rank, kernel = boundary_span(g, d)
+        for bad in sorted({v for datum in data for v in datum if v[0] < d and (v[1] or v[2])}):
+            def corrupt(targets, bad=bad):
+                row = real(targets)
+                return (row[0] + 1,) + row[1:] if targets == (bad,) else row
+
+            monkeypatch.setattr(coeffs, "stratum_row", corrupt)
+            monkeypatch.setattr("soclerank.ranks.stratum_row", corrupt)
+            real.cache_clear()
+            boundary_span.cache_clear()
+            try:
+                first = _first_nonzero(_direct_products(kernel, data))
+                assert _first_nonzero(kernel_products(kernel, data)) == first
+                if first is not None:
+                    assert bad in data[first]
+                    rank_pure, rank_full, _ = boundary_span(g, d)
+                    assert (rank_pure, rank_full) == exact_rank(*boundary_rows(g, d))
+                    assert rank_pure == rank < rank_full
+            finally:
+                monkeypatch.undo()
+                real.cache_clear()
+                boundary_span.cache_clear()
+            if first is not None:
+                break
+        else:
+            raise AssertionError("no corrupted vertex row was flagged at (%d, %d)" % (g, d))
+
+
+def test_rank_cell_leaves_the_shared_span_unchanged():
+    # the rank cell continues from the memoized kernel without mutating it,
+    # so a housing cell read after it reports what a cleared memo does
+    cells = [(g, r) for g in range(3, 8) for r in range(1, g - 1)]
+    boundary_span.cache_clear()
+    warm = []
+    for g, r in cells:
+        d = 2 * g - 3 - r
+        before = boundary_span(g, d)
+        warm.append((verify_rank_theorem(g, r), verify_housing_theorem(g, d),
+                     verify_rank_theorem(g, r)))
+        assert boundary_span(g, d) == before
+    cold = []
+    for g, r in cells:
+        d = 2 * g - 3 - r
+        boundary_span.cache_clear()
+        rank = verify_rank_theorem(g, r)
+        boundary_span.cache_clear()
+        cold.append((rank, verify_housing_theorem(g, d), rank))
+    assert warm == cold
 
 
 def test_housing_rank_formula_examples():
