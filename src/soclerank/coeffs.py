@@ -26,7 +26,7 @@ from .partitions import (
     restrict,
     unions,
 )
-from .socle import mu_dprime, shared_theta_work, theta, theta_work
+from .socle import mu_dprime, shared_theta_work, theta
 
 # Highest degree ``c_expansion`` takes: m_basis(d) holds p(d) forms of p(d)
 # values.  On a 2-vCPU machine degree 21 takes 5 s, 23 took 11 s, 28 over 100 s.
@@ -109,14 +109,11 @@ def _checked(data, d):
         raise ValueError("remainders sum to %d, expected %d" % (sum(m for m, _, _ in triples), d))
     thetas = {(partition(pi + kap), psi)
               for m, kap, psi in triples for pi in enumerate_partitions(m)}
-    sigmas = {sigma for sigma, _ in thetas}
-    work = sum(map(theta_work, sigmas))  # each alone bounds its share from above
-    if work > MAX_ROW_WORK:
-        work = shared_theta_work(sigmas)
+    work = shared_theta_work({sigma for sigma, _ in thetas}, MAX_ROW_WORK)
     psi_work = sum(len(sigma) * sum(tau) for sigma, tau in thetas)
     if work > MAX_ROW_WORK or psi_work > MAX_ROW_PSI:
-        raise ValueError("row too large: thetas share work %d (cap %d), psi work %d (cap %d)"
-                         % (work, MAX_ROW_WORK, psi_work, MAX_ROW_PSI))
+        raise ValueError("row too large: thetas share work at least %d (cap %d), "
+                         "psi work %d (cap %d)" % (work, MAX_ROW_WORK, psi_work, MAX_ROW_PSI))
     return _split_vertices(triples)
 
 

@@ -23,7 +23,7 @@ built on the former.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb, factorial, inf, prod
 
 # Most work one ``set_partition_totals`` call may take: its steps,
@@ -185,37 +185,50 @@ def set_partition_work(classes, slots):
     """The work ``set_partition_totals`` takes on ``classes``, as ``MAX_WORK`` counts it."""
     kinds = _kinds(classes)
     steps = (sum(map(len, classes)) + 1) * prod(comb(count + 2, 2) for _, _, count in kinds)
-    a = sum(count * slots((value,)) for _, value, count in kinds)
-    return steps * ((a * a.bit_length()) ** 2 + 2 ** 22)
+    return steps * _step_work(sum(count * slots((value,)) for _, value, count in kinds))
 
 
-def shared_work(multisets, slots):
-    """The work of ``set_partition_totals`` on one-class multisets sharing its memo.
+def _step_work(a):
+    # one kernel step on a multiset of a slots: a product of b-bit integers,
+    # b = a * a.bit_length(), plus a fixed cost
+    return (a * a.bit_length()) ** 2 + 2 ** 22
 
-    The memo's states are multiplicity vectors: each multiset c, and
-    every sub-multiset of c less one part of its largest value, since
-    each step of the kernel takes a block holding that part.  One walk
-    lists every distinct state once, computing no factor, and sums the
-    work of each: its picks c_1 * prod_(i > 1) (c_i + 1) of the parts
-    joining the first part's block, times its parts n + 1, times
-    b**2 + 2**22 with b = a * a.bit_length() for a its slots, as
-    ``set_partition_work`` counts a whole multiset.
+
+def shared_work(multisets, slots, cap=inf):
+    """The work of ``set_partition_totals`` on multisets sharing its memo, one class each.
+
+    ``multisets`` are partitions.  The memo's states are multiplicity
+    vectors: each multiset c, and every sub-multiset of c less one part
+    of its largest value, since each step of the kernel takes a block
+    holding that part.  One walk lists every distinct state once,
+    computing no factor, and sums the work of each: its picks
+    c_1 * prod_(i > 1) (c_i + 1) of the parts joining the first part's
+    block, times its parts n + 1, times the step cost b**2 + 2**22 of
+    its slots, as ``set_partition_work`` counts a whole multiset.  The
+    walk stops once the sum passes ``cap`` and returns the sum so far;
+    every state adds at least 2**23, so it lists at most about
+    cap / 2**23 states below the multisets themselves.
     """
-    tops = {tuple((v, parts.count(v)) for v in sorted(set(parts), reverse=True))
-            for parts in map(partition, multisets)} - {()}
+    tops = {tuple((v, len(list(run))) for v, run in groupby(parts)) for parts in multisets} - {()}
+    unit = {v: slots((v,)) for top in tops for v, _ in top}
+
+    def work(state):
+        picks, steps, a = state[0][1], 1, 0
+        for v, c in state:
+            picks, steps, a = picks * (c + 1), steps + c, a + c * unit[v]
+        return picks // (state[0][1] + 1) * steps * _step_work(a)
+
+    total = sum(map(work, tops))
     todo = [((v, c - 1),) * (c > 1) + top[1:] for top in tops for v, c in top[:1]]
     seen = set()
-    while todo:
+    while todo and total <= cap:
         state = todo.pop()
         if state and state not in seen:
             seen.add(state)
+            if state not in tops:
+                total += work(state)
             todo += [state[:i] + ((v, c - 1),) * (c > 1) + state[i + 1:]
                      for i, (v, c) in enumerate(state)]
-    total = 0
-    for state in seen | tops:
-        picks = state[0][1] * prod(c + 1 for _, c in state[1:])
-        a = sum(c * slots((v,)) for v, c in state)
-        total += picks * (sum(c for _, c in state) + 1) * ((a * a.bit_length()) ** 2 + 2 ** 22)
     return total
 
 

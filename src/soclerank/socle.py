@@ -13,10 +13,10 @@ inclusion-exclusion over merges of the kappa indices.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 from .exact import double_factorial, factorial, multinomial
-from .partitions import (merge_sign, merge_sum, partition, set_partition_totals,
-                         set_partition_work, shared_work)
+from .partitions import merge_sign, merge_sum, partition, set_partition_totals, shared_work
 
 # Largest psi exponent sum ``theta`` takes.  On a 2-vCPU machine theta of
 # 198 ones with 4000 psi ones takes 6.1 s; [1] with 120000 psi ones took 12 s.
@@ -95,17 +95,12 @@ def _theta(sigma, tau):
     return total
 
 
-def theta_work(sigma):
-    """The kernel work of ``theta(sigma, tau)``, which ``partitions.MAX_WORK`` bounds."""
-    return set_partition_work((sigma,), _theta_slots)
+def shared_theta_work(sigmas, cap=inf):
+    """The kernel work of ``theta`` over the partitions ``sigmas``, each shared memo state once.
 
-
-def shared_theta_work(sigmas):
-    """The kernel work of ``theta`` over ``sigmas``, counting each shared memo state once.
-
-    At most the sum of their ``theta_work``.
+    At most the sum of their works alone; the count stops once it passes ``cap``.
     """
-    return shared_work(sigmas, _theta_slots)
+    return shared_work(sigmas, _theta_slots, cap)
 
 
 def _theta_slots(block):

@@ -323,10 +323,12 @@ def test_coeff_degree_cap_exits_two(capsys):
     ["--lambda", "[18]", "--gamma", "[18]", "--psi", json.dumps([[1] * 4000])],
     ["--lambda", "[2]", "--gamma", "[2]", "--kappa", json.dumps([[1] * 127]),
      "--psi", json.dumps([[1] * 4000])],
-], ids=["40-ones-kappa", "4000-ones-psi", "127-ones-kappa-4000-ones-psi"])
+    # 2**39 sub-multisets of distinct parts: the shared walk stops at the cap
+    ["--lambda", "[1]", "--gamma", "[1]", "--kappa", json.dumps([list(range(40, 0, -1))])],
+], ids=["40-ones-kappa", "4000-ones-psi", "127-ones-kappa-4000-ones-psi", "40-distinct-kappa"])
 def test_coeff_row_cap_exits_two(capsys, row):
-    # each theta of the row passes the kernel bounds, their sum does not:
-    # the row checks answer before the first of them
+    # the row's thetas together pass the caps, however they share the
+    # kernel memo: the row checks answer before the first of them
     start = time.perf_counter()
     code, out, err = run(capsys, ["coeff"] + row)
     assert time.perf_counter() - start < 2.0

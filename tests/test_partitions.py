@@ -190,12 +190,18 @@ def test_shared_work_counts_each_kernel_state_once():
                 if counts[0] < kinds[0][1] or list(counts) == [c for _, c in kinds]:
                     states.add(tuple((v, c) for (v, _), c in zip(kinds, counts) if c))
         states.discard(())
-        expected = 0
+        work = {}
         for state in states:
             a = sum(c * slots((v,)) for v, c in state)
             picks = state[0][1] * prod(c + 1 for _, c in state[1:])
-            expected += picks * (sum(c for _, c in state) + 1) * ((a * a.bit_length()) ** 2 + 2 ** 22)
+            work[state] = picks * (sum(c for _, c in state) + 1) * partitions._step_work(a)
+        expected = sum(work.values())
         assert shared_work(sigmas, slots) == shared_work(sigmas + sigmas[:1], slots) == expected
+        # a cap stops the walk once passed: the sum so far is above it, at
+        # most the whole, and a zero cap counts the inputs alone
+        assert expected // 2 < shared_work(sigmas, slots, expected // 2) <= expected
+        tops = {tuple(sorted(Counter(sigma).items(), reverse=True)) for sigma in sigmas}
+        assert shared_work(sigmas, slots, 0) == sum(work[top] for top in tops)
         assert shared_work(sigmas[:1], slots) <= partitions.set_partition_work(sigmas[:1], slots)
         partitions._free.cache_clear()
         for sigma in sigmas:

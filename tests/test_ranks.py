@@ -281,7 +281,8 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
     # pure block's data, the k = 0 slice of the walk, are the undecorated
     # generators, so the two blocks never overlap; against random integer
     # vectors, the kernel contraction equals the dot product with the
-    # built row on every datum
+    # built row on every datum; and the boundary span ranks what streaming
+    # these rows does
     rng = random.Random(16)
     for g in range(2, 9):
         for d in range(0, 2 * g - 2):
@@ -300,8 +301,10 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
             assert sorted(pure + decorated) == sorted(canonical)
             rank = exact_rank(canonical)
             assert rank == _echelon_rank(canonical) == _bareiss_rank(canonical)
-            assert exact_rank(pure, decorated) == (_echelon_rank(pure), rank)
+            streamed = exact_rank(pure, decorated, _kappa_rows(g, d))
+            assert streamed[:2] == (_echelon_rank(pure), rank)
             assert exact_rank(pure + decorated) == _echelon_rank(pure + decorated) == rank
+            _assert_span_matches(g, d, pure, streamed)
 
 
 def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
@@ -370,24 +373,32 @@ def test_corrupted_kernel_vector_is_flagged_at_the_first_direct_product():
             assert _first_nonzero(kernel_products(bad, data)) == first
 
 
+def _kappa_rows(g, d):
+    # the kappa rows a rank cell stacks on the boundary, none off the rank cells
+    r = 2 * g - 3 - d
+    return [kappa_row(tau, d).values for tau in enumerate_partitions(r)] if d >= g - 1 else []
+
+
+def _assert_span_matches(g, d, pure, streamed):
+    # the span's ranks equal those of streaming every built row into
+    # exact_rank, its kernel is orthogonal to every pure row, and a rank
+    # cell (d >= g-1) stacks the kappa rows onto the same kernel
+    rank_pure, rank_full, kernel = boundary_span(g, d)
+    assert (rank_pure, rank_full) == streamed[:2]
+    assert len(kernel) == len(enumerate_partitions(d)) - rank_full
+    assert all(sum(a * b for a, b in zip(k, row)) == 0 for k in kernel for row in pure)
+    if d >= g - 1:
+        report = verify_rank_theorem(g, 2 * g - 3 - d)
+        assert (report["rank_boundary"], report["rank_stacked"]) == streamed[1:]
+
+
 def test_boundary_span_matches_streamed_rows():
-    # every g <= 9 cell: the span's ranks equal those of streaming every
-    # built row into exact_rank, its kernel is orthogonal to every pure row,
-    # and the rank cells (d >= g-1) stack the kappa rows onto the same kernel
-    for g in range(2, 10):
-        for d in range(0, 2 * g - 2):
-            rank_pure, rank_full, kernel = boundary_span(g, d)
-            pure, decorated = boundary_rows(g, d)
-            pure = list(pure)
-            r = 2 * g - 3 - d
-            kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)] if d >= g - 1 else []
-            streamed = exact_rank(pure, decorated, kappa)
-            assert (rank_pure, rank_full) == streamed[:2]
-            assert len(kernel) == len(enumerate_partitions(d)) - rank_full
-            assert all(sum(a * b for a, b in zip(k, row)) == 0 for k in kernel for row in pure)
-            if kappa:
-                report = verify_rank_theorem(g, r)
-                assert (report["rank_boundary"], report["rank_stacked"]) == streamed[1:]
+    # the g = 9 cells; the g <= 8 ones are checked on the rows
+    # test_exact_rank_matches_references_on_full_boundary_matrices builds
+    for d in range(0, 16):
+        pure, decorated = boundary_rows(9, d)
+        pure = list(pure)
+        _assert_span_matches(9, d, pure, exact_rank(pure, decorated, _kappa_rows(9, d)))
 
 
 def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
