@@ -9,9 +9,9 @@ c coefficients, and the eta family repackages the one-vertex rows.
 """
 
 from soclerank import (
-    c_chain,
     c_coefficient,
     c_expansion,
+    count_main_claim,
     enumerate_partitions,
     eta_dprime_form,
     eta_form,
@@ -38,7 +38,7 @@ print("expansion:", c_expansion(row))
 # decorated rows pick up off-diagonal coefficients
 print()
 print("c((1,1); (2) with kappa (1)) =", c_coefficient((1, 1), (2,), ((1,),)))
-print("same value by the chain recursion:", c_chain((1, 1), (2,), ((1,),)))
+print("same value by the word oracle:", count_main_claim((1, 1), (1,), ()))
 
 # the phi transform is a length-triangular change of coordinates with
 # an explicit inverse

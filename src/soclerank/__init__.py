@@ -8,7 +8,7 @@ counting oracles that cross-check every formula.  Every memo is an
 unbounded ``lru_cache``; the life of the process bounds them.
 """
 
-from .exact import comb_count, double_factorial, factorial, format_scalar, fz_count, multinomial, parse_scalar
+from .exact import comb_count, double_factorial, factorial, format_scalar, fz_count, multinomial
 from .oracles import (
     count_a1,
     count_a4,
@@ -25,8 +25,6 @@ from .partitions import (
     merge,
     merge_sum,
     partition,
-    restrict,
-    separates,
 )
 from .socle import (
     complementary_degree,
@@ -52,7 +50,6 @@ from .coeffs import (
     LinearForm,
     block_factor,
     tabulate,
-    c_chain,
     c_coefficient,
     c_expansion,
     eta_dprime_form,

@@ -18,12 +18,10 @@ from .partitions import (
     MAX_WORK,
     automorphism_count,
     enumerate_partitions,
-    enumerate_refining_functions,
     merge_sign,
     merge_sum,
     partition,
     position,
-    restrict,
     unions,
 )
 from .socle import mu_dprime, shared_theta_work, theta
@@ -74,10 +72,6 @@ def pure_row(lam):
     """Pairing row of the pure stratum of lam: one undecorated vertex per part."""
     lam = partition(lam)
     return LinearForm(sum(lam), stratum_row(tuple((part, (), ()) for part in lam)))
-
-
-def _preimage(phi, j):
-    return tuple(i for i, t in enumerate(phi) if t == j)
 
 
 @lru_cache(maxsize=None)
@@ -189,37 +183,6 @@ def c_coefficient(lam, gamma, kappas=None, psis=None):
     lam = partition(lam)
     constant, targets = _checked(_stratum_data(gamma, kappas, psis), sum(lam))
     return constant * _expansion(targets, sum(lam))[lam]
-
-
-def c_chain(lam, gamma, kappas=None, psis=None):
-    """The same coefficient by the alternating chain sum, as a cross-check.
-
-    Multi-vertex rows reduce to a product of single-remainder
-    coefficients over the refinement maps of lam onto the remainders;
-    each single-remainder value unrolls into the signed sum over
-    strictly coarsening chains, evaluated here by memoized recursion.
-    """
-    lam = partition(lam)
-    constant, targets = _split_vertices(_stratum_data(gamma, kappas, psis))
-    parts = tuple(m for m, _, _ in targets)
-    total = 0
-    for phi in enumerate_refining_functions(parts, lam):
-        prod = constant
-        for j, (_, kap, psi) in enumerate(targets):
-            prod *= _chain_single(restrict(lam, _preimage(phi, j)), kap, psi)
-        total += prod
-    return total
-
-
-@lru_cache(maxsize=None)
-def _chain_single(lam, kap, psi):
-    # coefficient of lam in the one-vertex row theta(pi + kap; psi), less
-    # every strict coarsening of lam weighted by its blocks' theta values
-    def coarser(merged):
-        return 0 if len(merged) == len(lam) else _chain_single(merged, kap, psi)
-
-    step = merge_sum(lam, lambda b: theta(restrict(lam, b)), coarser)
-    return theta(partition(lam + kap), psi) - step
 
 
 def phi_inverse_transform(form):

@@ -87,8 +87,3 @@ def format_scalar(x):
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
-
-
-def parse_scalar(s):
-    """Inverse of format_scalar."""
-    return Fraction(s)

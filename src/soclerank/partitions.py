@@ -18,8 +18,8 @@ enumeration.  ``position`` inverts the canonical order of P(n), and
 multiset union in P(m + n) with its labeled multiplicity: a sum over
 refining maps is a product of such unions, one per target part.
 ``enumerate_set_partitions`` and ``enumerate_refining_functions`` stay
-as the slow references; ``merge_sum`` is the one sum over coarsenings
-built on the former.
+as the slow references the tests compare against; ``merge_sum``, built
+on the former, is the one sum over coarsenings.
 """
 
 from functools import lru_cache
@@ -302,8 +302,8 @@ def merge_sum(parts, weight, value):
     A set partition ``blocks`` of ``range(len(parts))`` contributes
     ``value(merge(parts, blocks))`` times the product of ``weight(block)``
     over its blocks.  This is the slow reference that the inclusion-
-    exclusion identities between the mu variants, the phi transforms,
-    the block-factor identity and the chain recursion share.
+    exclusion identities between the mu variants, the phi transforms
+    and the block-factor identity share.
     """
     parts = tuple(parts)
     total = 0
@@ -330,15 +330,6 @@ def merge(sigma, blocks):
     return partition(sum(sigma[i] for i in b) for b in blocks)
 
 
-def restrict(sigma, indices):
-    """The partition formed by the parts of ``sigma`` at the given indices."""
-    sigma = tuple(sigma)
-    indices = tuple(indices)
-    if len(set(indices)) != len(indices):
-        raise ValueError("restriction indices must be distinct")
-    return partition(sigma[i] for i in indices)
-
-
 def automorphism_count(lam):
     """Product of factorials of the part multiplicities of ``lam``."""
     lam = partition(lam)
@@ -346,9 +337,3 @@ def automorphism_count(lam):
     for v in set(lam):
         count *= factorial(lam.count(v))
     return count
-
-
-def separates(blocks, subset):
-    """True when no block of the set partition contains two elements of ``subset``."""
-    subset = set(subset)
-    return all(len(subset.intersection(b)) <= 1 for b in blocks)

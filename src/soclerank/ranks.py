@@ -196,12 +196,14 @@ def verify_rank_theorem(g, r):
     complementary_degree(g, d)
     if not 0 <= r <= g - 2:
         raise ValueError("need 0 <= r <= g-2")
-    _, rank_boundary, kernel = boundary_span(g, d)
+    width = len(enumerate_partitions(d))
+    # r = 0 has no boundary stratum: the kappa rows start from the unit vectors
+    _, rank_boundary, kernel = boundary_span(g, d) if r else (0, 0, _units(width))
     for tau in enumerate_partitions(r):
         if not kernel:
             break
         kernel = _reduce(kernel, kappa_row(tau, d).values)
-    rank_stacked = len(enumerate_partitions(d)) - len(kernel)
+    rank_stacked = width - len(kernel)
     rank_smooth = exact_rank(smooth_matrix(g, r))
     return {
         "rank_stacked": rank_stacked,

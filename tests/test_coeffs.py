@@ -6,7 +6,6 @@ import soclerank.coeffs as coeffs
 from soclerank.coeffs import (
     LinearForm,
     block_factor,
-    c_chain,
     c_coefficient,
     c_expansion,
     eta_dprime_form,
@@ -143,68 +142,6 @@ def test_c_expansion_reconstructs_form():
             d, lambda pi: sum(coeffs[lam] * m_form(lam)(pi) for lam in parts)
         )
         assert rebuilt.values == form.values
-
-
-def test_chain_matches_expansion_plain():
-    for d in range(0, 7):
-        for lam in enumerate_partitions(d):
-            for gamma in enumerate_partitions(d):
-                assert c_chain(lam, gamma) == c_coefficient(lam, gamma)
-
-
-def test_chain_matches_expansion_decorated():
-    for d in range(1, 5):
-        for lam in enumerate_partitions(d):
-            for gamma in enumerate_partitions(d):
-                slots = len(gamma)
-                for extra in range(0, 4 - slots + 1):
-                    for kap in enumerate_partitions(extra):
-                        kappas = (kap,) + ((),) * (slots - 1)
-                        assert c_chain(lam, gamma, kappas) == c_coefficient(
-                            lam, gamma, kappas
-                        )
-                        psis = kappas
-                        assert c_chain(
-                            lam, gamma, None, psis
-                        ) == c_coefficient(lam, gamma, None, psis)
-
-
-def test_chain_matches_expansion_sampled():
-    rng = random.Random(29)
-    for _ in range(60):
-        d = rng.choice((5, 6))
-        lam = rng.choice(enumerate_partitions(d))
-        gamma = rng.choice(enumerate_partitions(d))
-        kappas = []
-        psis = []
-        for _slot in range(len(gamma)):
-            kappas.append(rng.choice(enumerate_partitions(rng.randrange(0, 3))))
-            psis.append(rng.choice(enumerate_partitions(rng.randrange(0, 2))))
-        kappas, psis = tuple(kappas), tuple(psis)
-        assert c_chain(lam, gamma, kappas, psis) == c_coefficient(
-            lam, gamma, kappas, psis
-        )
-    # zero remainders with a kappa/psi decoration, placed anywhere in gamma
-    rng = random.Random(31)
-    for _ in range(30):
-        d = rng.choice((4, 5, 6))
-        lam = rng.choice(enumerate_partitions(d))
-        slots = [
-            (m, rng.choice(enumerate_partitions(rng.randrange(0, 3))),
-             rng.choice(enumerate_partitions(rng.randrange(0, 2))))
-            for m in rng.choice(enumerate_partitions(d))
-        ]
-        for _zero in range(rng.randrange(1, 3)):
-            slots.insert(rng.randrange(len(slots) + 1), (
-                0, rng.choice(enumerate_partitions(rng.randrange(1, 3))),
-                rng.choice(enumerate_partitions(rng.randrange(0, 3))),
-            ))
-        gamma, kappas, psis = (tuple(col) for col in zip(*slots))
-        assert c_chain(lam, gamma, kappas, psis) == c_coefficient(
-            lam, gamma, kappas, psis
-        )
-    # theta((1,), (1, 1)) = 12 scales the one-vertex coefficient c_chain((3,), (3,)) = 1
-    assert c_chain((3,), (3, 0), ((), (1,)), ((), (1, 1))) == 12
 
 
 def test_phi_round_trips():

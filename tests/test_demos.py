@@ -1,9 +1,12 @@
 """Every demo runs to completion against the package in ``src``.
 
 A public name removed from the package breaks a demo that still uses
-it; this catches that in the same change.
+it, or the benchmark tracer that wraps it by name; this catches both in
+the same change.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,3 +27,14 @@ def test_demo_runs_clean(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_tracer_layers_name_package_functions():
+    # perfbench/tracer.py looks each LAYERS name up with getattr at install
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for home, functions in tracer.LAYERS.items():
+        module = importlib.import_module("soclerank." + home)
+        missing = [name for name in functions if not callable(getattr(module, name, None))]
+        assert not missing, (home, missing)

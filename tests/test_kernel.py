@@ -5,30 +5,91 @@ Every fast sum in ``socle`` is compared exactly with the direct sum over
 product of one-vertex rows over ``unions``) with the direct sum over
 ``enumerate_refining_functions``, first on full small grids and then on
 random partitions drawn by Hypothesis; ``c_coefficient`` is compared
-with the chain recursion ``c_chain``.
+with the chain recursion ``c_chain``.  These slow references, with the
+partition helpers ``restrict`` and ``separates`` they need, live here.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclerank.coeffs import c_chain, c_coefficient, m_form, v_form
+from soclerank.coeffs import c_coefficient, m_form, v_form
 from soclerank.exact import double_factorial, factorial, multinomial
 from soclerank.partitions import (
     automorphism_count,
     enumerate_partitions,
     enumerate_refining_functions,
     enumerate_set_partitions,
+    merge_sum,
     partition,
-    restrict,
-    separates,
     set_partition_totals,
     unions,
 )
 from soclerank.socle import mu, mu_dprime, mu_prime, theta
 from soclerank.strata import enumerate_boundary_generators
+
+
+def restrict(sigma, indices):
+    """The partition formed by the parts of ``sigma`` at the given indices."""
+    sigma = tuple(sigma)
+    indices = tuple(indices)
+    if len(set(indices)) != len(indices):
+        raise ValueError("restriction indices must be distinct")
+    return partition(sigma[i] for i in indices)
+
+
+def separates(blocks, subset):
+    """True when no block of the set partition contains two elements of ``subset``."""
+    subset = set(subset)
+    return all(len(subset.intersection(b)) <= 1 for b in blocks)
+
+
+def _preimage(phi, j):
+    return tuple(i for i, t in enumerate(phi) if t == j)
+
+
+def c_chain(lam, gamma, kappas=None, psis=None):
+    """``c_coefficient`` by the alternating chain sum, as a cross-check.
+
+    Multi-vertex rows reduce to a product of single-remainder
+    coefficients over the refinement maps of lam onto the remainders;
+    each single-remainder value unrolls into the signed sum over
+    strictly coarsening chains, evaluated here by memoized recursion.
+    A zero remainder only scales the sum by its theta value.
+    """
+    lam = partition(lam)
+    k = len(gamma)
+    kappas = ((),) * k if kappas is None else tuple(map(partition, kappas))
+    psis = ((),) * k if psis is None else tuple(map(partition, psis))
+    constant, targets = 1, []
+    for m, kap, psi in zip(gamma, kappas, psis):
+        if m:
+            targets.append((m, kap, psi))
+        else:
+            constant *= theta(kap, psi)
+    total = 0
+    for phi in enumerate_refining_functions([m for m, _, _ in targets], lam):
+        prod = constant
+        for j, (_, kap, psi) in enumerate(targets):
+            prod *= _chain_single(restrict(lam, _preimage(phi, j)), kap, psi)
+        total += prod
+    return total
+
+
+@lru_cache(maxsize=None)
+def _chain_single(lam, kap, psi):
+    # coefficient of lam in the one-vertex row theta(pi + kap; psi), less
+    # every strict coarsening of lam weighted by its blocks' theta values
+    def coarser(merged):
+        return 0 if len(merged) == len(lam) else _chain_single(merged, kap, psi)
+
+    step = merge_sum(lam, lambda b: theta(restrict(lam, b)), coarser)
+    return theta(partition(lam + kap), psi) - step
 
 
 def theta_reference(sigma, tau):
@@ -72,7 +133,7 @@ def refinement_reference(targets, pi, weight):
     for phi in enumerate_refining_functions([part for part, _ in targets], pi):
         prod = 1
         for j, (_, data) in enumerate(targets):
-            prod *= weight(restrict(pi, [i for i, t in enumerate(phi) if t == j]), data)
+            prod *= weight(restrict(pi, _preimage(phi, j)), data)
         total += prod
     return total
 
@@ -233,3 +294,87 @@ def test_c_coefficient_matches_chain_on_random_data(data, lam_index):
     candidates = enumerate_partitions(sum(gamma))
     lam = candidates[lam_index % len(candidates)]
     assert c_coefficient(lam, gamma, kappas, psis) == c_chain(lam, gamma, kappas, psis)
+
+
+def test_restrict():
+    assert restrict((5, 4, 3), (2, 0)) == (5, 3)
+    assert restrict((5, 4, 3), ()) == ()
+    with pytest.raises(ValueError):
+        restrict((5, 4), (0, 0))
+
+
+def test_separates_is_monotone():
+    rng = random.Random(11)
+    ground = tuple(range(6))
+    all_blocks = enumerate_set_partitions(ground)
+    for _ in range(200):
+        blocks = rng.choice(all_blocks)
+        subset = tuple(i for i in ground if rng.random() < 0.5)
+        if separates(blocks, subset):
+            smaller = subset[: rng.randrange(len(subset) + 1)]
+            assert separates(blocks, smaller)
+        singles = sum(1 for b in blocks if len(b) == 1)
+        if singles == len(ground):
+            assert separates(blocks, ground)
+
+
+def test_chain_matches_expansion_plain():
+    for d in range(0, 7):
+        for lam in enumerate_partitions(d):
+            for gamma in enumerate_partitions(d):
+                assert c_chain(lam, gamma) == c_coefficient(lam, gamma)
+
+
+def test_chain_matches_expansion_decorated():
+    for d in range(1, 5):
+        for lam in enumerate_partitions(d):
+            for gamma in enumerate_partitions(d):
+                slots = len(gamma)
+                for extra in range(0, 4 - slots + 1):
+                    for kap in enumerate_partitions(extra):
+                        kappas = (kap,) + ((),) * (slots - 1)
+                        assert c_chain(lam, gamma, kappas) == c_coefficient(
+                            lam, gamma, kappas
+                        )
+                        psis = kappas
+                        assert c_chain(
+                            lam, gamma, None, psis
+                        ) == c_coefficient(lam, gamma, None, psis)
+
+
+def test_chain_matches_expansion_sampled():
+    rng = random.Random(29)
+    for _ in range(60):
+        d = rng.choice((5, 6))
+        lam = rng.choice(enumerate_partitions(d))
+        gamma = rng.choice(enumerate_partitions(d))
+        kappas = []
+        psis = []
+        for _slot in range(len(gamma)):
+            kappas.append(rng.choice(enumerate_partitions(rng.randrange(0, 3))))
+            psis.append(rng.choice(enumerate_partitions(rng.randrange(0, 2))))
+        kappas, psis = tuple(kappas), tuple(psis)
+        assert c_chain(lam, gamma, kappas, psis) == c_coefficient(
+            lam, gamma, kappas, psis
+        )
+    # zero remainders with a kappa/psi decoration, placed anywhere in gamma
+    rng = random.Random(31)
+    for _ in range(30):
+        d = rng.choice((4, 5, 6))
+        lam = rng.choice(enumerate_partitions(d))
+        slots = [
+            (m, rng.choice(enumerate_partitions(rng.randrange(0, 3))),
+             rng.choice(enumerate_partitions(rng.randrange(0, 2))))
+            for m in rng.choice(enumerate_partitions(d))
+        ]
+        for _zero in range(rng.randrange(1, 3)):
+            slots.insert(rng.randrange(len(slots) + 1), (
+                0, rng.choice(enumerate_partitions(rng.randrange(1, 3))),
+                rng.choice(enumerate_partitions(rng.randrange(0, 3))),
+            ))
+        gamma, kappas, psis = (tuple(col) for col in zip(*slots))
+        assert c_chain(lam, gamma, kappas, psis) == c_coefficient(
+            lam, gamma, kappas, psis
+        )
+    # theta((1,), (1, 1)) = 12 scales the one-vertex coefficient c_chain((3,), (3,)) = 1
+    assert c_chain((3,), (3, 0), ((), (1,)), ((), (1, 1))) == 12

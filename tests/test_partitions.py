@@ -16,8 +16,6 @@ from soclerank.partitions import (
     merge_sum,
     partition,
     position,
-    restrict,
-    separates,
     shared_work,
     unions,
 )
@@ -145,10 +143,6 @@ def test_merge_and_restrict():
     assert merge((3, 2, 1), ((0, 2), (1,))) == (4, 2)
     with pytest.raises(ValueError):
         merge((3, 2), ((0,),))
-    assert restrict((5, 4, 3), (2, 0)) == (5, 3)
-    assert restrict((5, 4, 3), ()) == ()
-    with pytest.raises(ValueError):
-        restrict((5, 4), (0, 0))
 
 
 def test_automorphism_count():
@@ -156,21 +150,6 @@ def test_automorphism_count():
     assert automorphism_count((2, 1)) == 1
     assert automorphism_count((1, 1, 1)) == 6
     assert automorphism_count((2, 2, 1, 1, 1)) == 12
-
-
-def test_separates_is_monotone():
-    rng = random.Random(11)
-    ground = tuple(range(6))
-    all_blocks = enumerate_set_partitions(ground)
-    for _ in range(200):
-        blocks = rng.choice(all_blocks)
-        subset = tuple(i for i in ground if rng.random() < 0.5)
-        if separates(blocks, subset):
-            smaller = subset[: rng.randrange(len(subset) + 1)]
-            assert separates(blocks, smaller)
-        singles = sum(1 for b in blocks if len(b) == 1)
-        if singles == len(ground):
-            assert separates(blocks, ground)
 
 
 def test_shared_work_counts_each_kernel_state_once():

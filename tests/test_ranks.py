@@ -440,9 +440,13 @@ def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
 
 def test_rank_cell_leaves_the_shared_span_unchanged():
     # the rank cell continues from the memoized kernel without mutating it,
-    # so a housing cell read after it reports what a cleared memo does
-    cells = [(g, r) for g in range(3, 8) for r in range(1, g - 1)]
+    # so a housing cell read after it reports what a cleared memo does; the
+    # r = 0 cell (d = 2g-3, no boundary stratum) asks for no span at all
     boundary_span.cache_clear()
+    top = [verify_rank_theorem(g, 0) for g in range(2, 9)]
+    assert boundary_span.cache_info().currsize == 0
+    assert top == [{"rank_stacked": 1, "rank_boundary": 0, "rank_smooth": 1, "ok": True}] * 7
+    cells = [(g, r) for g in range(3, 8) for r in range(1, g - 1)]
     warm = []
     for g, r in cells:
         d = 2 * g - 3 - r
