@@ -21,7 +21,7 @@ from .coeffs import c_coefficient
 from .exact import format_scalar
 from .ranks import betti_report, verify_housing_theorem, verify_rank_theorem
 from .socle import mu, mu_dprime, mu_prime, theta
-from .strata import enumerate_boundary_generators, enumerate_pure_housing_partitions
+from .strata import enumerate_pure_housing_partitions, reduced_data
 
 FORMATS = ("pretty", "json", "csv")
 VERIFY_ALL_FIELDS = ["check", "g", "d", "r", "rank_pure", "rank_full", "formula",
@@ -101,12 +101,13 @@ def _csv_cell(v):
 
 
 def _emit(fmt, rows, fields, pretty):
-    """Write each row to stdout as it arrives, flush it, and return the rows.
+    """Write each row to stdout as it arrives, flush it; return whether all were ok.
 
     json writes one object per row and pretty the text ``pretty(row)``.
     csv writes the header of ``fields`` first, then one line per row, or
     one per entry of the row's nested ``rows`` list when it has one.
-    Integers print in full, past Python's int-to-str digit limit.
+    Integers print in full, past Python's int-to-str digit limit.  No
+    row is kept once written; a row without an ``ok`` entry counts as ok.
     """
     # the int-to-str digit limit came with Python 3.10.7; 0 means no limit
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
@@ -115,7 +116,7 @@ def _emit(fmt, rows, fields, pretty):
     writer = csv.DictWriter(sys.stdout, fields)
     if fmt == "csv":
         writer.writeheader()
-    written = []
+    ok = True
     try:
         for row in rows:
             if fmt == "json":
@@ -126,11 +127,11 @@ def _emit(fmt, rows, fields, pretty):
             else:
                 print(pretty(row))
             sys.stdout.flush()
-            written.append(row)
+            ok = ok and bool(row.get("ok", True))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    return written
+    return ok
 
 
 def _value(row):
@@ -268,10 +269,10 @@ def _cmd_strata(args):
             for sigma in sorted(enumerate_pure_housing_partitions(args.g, args.d))
         ]
     else:
-        strata = enumerate_boundary_generators(args.g, args.d)
+        strata = reduced_data(args.g, args.d)  # printed as the search finds them
     # per-vertex (remainder, kappa, psi) triples, read as three columns
     fields = ["gamma", "kappa", "psi"]
-    _emit(args.format, [dict(zip(fields, zip(*data))) for data in strata], fields, json.dumps)
+    _emit(args.format, (dict(zip(fields, zip(*data))) for data in strata), fields, json.dumps)
     return 0
 
 
@@ -315,8 +316,8 @@ def _cmd_verify_all(args):
         # both maps yield in grid order, so a row prints once its cell and
         # every cell before it are done
         results = (pool.map if pool else map)(_verify_cell, cells)
-        reports = _emit(args.format, results, VERIFY_ALL_FIELDS, _pairs)
-    return 0 if all(report["ok"] for report in reports) else 1
+        ok = _emit(args.format, results, VERIFY_ALL_FIELDS, _pairs)
+    return 0 if ok else 1
 
 
 def _cmd_report_betti(args):

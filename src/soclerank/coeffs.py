@@ -113,7 +113,8 @@ def _checked(data, d):
 
 def _split_vertices(data):
     # a zero-remainder vertex only scales the row by its theta value; the
-    # others stay (m, kappa, psi) triples, sorted as ``strata.reduced_data`` yields them
+    # others stay (m, kappa, psi) triples in descending order, as within each
+    # datum of ``strata.reduced_data`` (which yields the data ascending)
     constant = prod(theta(kap, psi) for m, kap, psi in data if not m)
     return constant, tuple(sorted((v for v in data if v[0]), reverse=True))
 

@@ -16,7 +16,7 @@ from .coeffs import LinearForm, eta_form, stratum_row
 from .exact import fz_count, partition_count
 from .partitions import enumerate_partitions, partition, unions
 from .socle import complementary_degree, mu
-from .strata import is_housing_partition, reduced_data
+from .strata import enumerate_pure_housing_partitions, is_housing_partition, reduced_data
 
 
 def exact_rank(rows, *more):
@@ -28,25 +28,37 @@ def exact_rank(rows, *more):
     have the width of the first row and int entries (not bools), or
     ValueError is raised.  The pass keeps an integer basis K of the
     vectors orthogonal to every row so far, starting from the unit
-    vectors, and updates it by ``_reduce``; the rank is width - |K|.
+    vectors, and updates it by ``_kernel``; the rank is width - |K|.
     Once K is empty no further row is consumed, and every later block
     reports the width.
     """
-    kernel, ranks = None, []
-    for block in (rows,) + more:
-        for row in block if kernel != [] else ():
-            if kernel is None:
-                width = len(row)
-                kernel = _units(width)
-            if len(row) != width:
-                raise ValueError("rows must all have the same length")
-            if not set(map(type, row)) <= {int}:
-                raise ValueError("matrix entries must be ints")
-            kernel = _reduce(kernel, row)
-            if not kernel:
-                break
+    kernel, width, ranks = None, 0, []
+    for block in map(iter, (rows,) + more):
+        if kernel is None:
+            first = next(block, None)
+            if first is not None:
+                width = len(first)
+                kernel = _reduce(_units(width), _checked(first, width))
+        kernel = _kernel(kernel, (_checked(row, width) for row in block))
         ranks.append(0 if kernel is None else width - len(kernel))
     return tuple(ranks) if more else ranks[0]
+
+
+def _checked(row, width):
+    if len(row) != width:
+        raise ValueError("rows must all have the same length")
+    if not set(map(type, row)) <= {int}:
+        raise ValueError("matrix entries must be ints")
+    return row
+
+
+def _kernel(kernel, rows):
+    # reduce kernel by each row in turn; no row is read once it is empty (or None)
+    for row in rows if kernel else ():
+        kernel = _reduce(kernel, row)
+        if not kernel:
+            break
+    return kernel
 
 
 def _units(width):
@@ -76,42 +88,32 @@ def _primitive(vector):
 def boundary_span(g, d):
     """The boundary rank of (g, d) with its certificate, computed once per (g, d).
 
-    Returns (rank_pure, rank_full, kernel).  The pure strata, the k = 0
-    slice of the walk (none at d = 2g-3), are built and reduced first;
-    the kernel K of those rows is then checked against every decorated
-    datum by ``kernel_products``, so no decorated row is built while
-    the products vanish.  A datum with a nonzero product has its row
-    built and reduced into K, and the walk restarts after it; earlier
-    rows stay orthogonal, since the new K lies in the span of the old,
-    so rank_full is exact whatever the products.  The kernel is a
-    tuple of tuples, orthogonal to every boundary row, with
+    Returns (rank_pure, rank_full, kernel).  The rows of the pure strata,
+    listed from the trees (none at d = 2g-3), are reduced first; their
+    kernel K is then checked against every other datum of
+    ``reduced_data`` by ``kernel_products``, building no row while the
+    products vanish.  A datum with a nonzero product has its row reduced
+    into K and the walk goes on after it; the new K lies in the span of
+    the old, so rank_full is exact whatever the products.  The kernel is
+    a tuple of tuples, orthogonal to every boundary row, with
     width - rank_full vectors; callers continue from it.
     """
     width = len(enumerate_partitions(d))
-    pure = reduced_data(g, d, range(min(1, 2 * g - 3 - d)))
-    kernel = _units(width)
-    for data in pure:
-        kernel = _reduce(kernel, stratum_row(data))
-        if not kernel:
-            break
+    pure = {tuple((m, (), ()) for m in sigma)
+            for sigma in enumerate_pure_housing_partitions(g, d)} if d < 2 * g - 3 else set()
+    kernel = _kernel(_units(width), map(stratum_row, pure))
     rank_pure = width - len(kernel)
-    if kernel:
-        decorated = reduced_data(g, d, range(1, 2 * g - 3 - d))
-        decorated -= pure  # in place: no second set of the data at the peak
-        decorated = sorted(decorated, reverse=True)
-        start = 0
-        while kernel:
-            products = enumerate(kernel_products(kernel, decorated[start:]), start)
-            start = next((i for i, v in products if any(v)), None)
-            if start is None:
-                break
-            kernel = _reduce(kernel, stratum_row(decorated[start]))
-            start += 1
+    rest = (datum for datum in reduced_data(g, d) if datum not in pure)
+    while kernel:
+        flagged = next((datum for datum, v in kernel_products(kernel, rest) if any(v)), None)
+        if flagged is None:
+            break
+        kernel = _reduce(kernel, stratum_row(flagged))
     return rank_pure, width - len(kernel), tuple(map(tuple, kernel))
 
 
 def kernel_products(kernel, data):
-    """Yield, per datum, the products of the kernel vectors with its row, unbuilt.
+    """Yield each datum with the products of the kernel vectors with its row, unbuilt.
 
     ``data`` are sorted nonzero (m, kappa, psi) triples summing to d,
     the vectors lie on P(d).  The row of a datum is the product of its
@@ -120,7 +122,8 @@ def kernel_products(kernel, data):
     ``unions(m, n)``; so every k is pulled back through the vertices
     one at a time, and at the last vertex the product is one dot
     product with its one-vertex row.  Data met in sorted order share
-    the vectors pulled through their common prefix.
+    the vectors pulled through their common prefix; each is read only
+    when its pair is asked for.
     """
     path, pulled = (), [kernel]
     for datum in data:
@@ -136,7 +139,7 @@ def kernel_products(kernel, data):
                 pulled.append(_pull(pulled[-1], stratum_row((vertex,)), unions(vertex[0], n)))
             path = head
         row = stratum_row((last,))
-        yield tuple(sum(map(mul, k, row)) for k in pulled[-1])
+        yield datum, tuple(sum(map(mul, k, row)) for k in pulled[-1])
 
 
 def _pull(vectors, head, table):
@@ -199,10 +202,7 @@ def verify_rank_theorem(g, r):
     width = len(enumerate_partitions(d))
     # r = 0 has no boundary stratum: the kappa rows start from the unit vectors
     _, rank_boundary, kernel = boundary_span(g, d) if r else (0, 0, _units(width))
-    for tau in enumerate_partitions(r):
-        if not kernel:
-            break
-        kernel = _reduce(kernel, kappa_row(tau, d).values)
+    kernel = _kernel(kernel, (kappa_row(tau, d).values for tau in enumerate_partitions(r)))
     rank_stacked = width - len(kernel)
     rank_smooth = exact_rank(smooth_matrix(g, r))
     return {

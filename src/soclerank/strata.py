@@ -9,15 +9,14 @@ vertices whose socle remainder is zero; that multiset is the reduced
 boundary data, and it is the only form in which kappa and psi
 decorations exist here.
 
-Because the pairing row never sees the edge structure, the enumeration
-runs over vertex-degree multisets (partitions of 2(v-1) into v positive
-parts) and their genus assignments, and reduces the decorations of each
-such shape in one deduplicating fold over its vertices instead of
-listing them.
+A closed criterion on the triples picks out the reduced data, and one
+depth-first search lists them, each once and in ascending order
+(``reduced_data``).  The pure strata are still listed from the trees,
+by degree multisets and genus assignments, so that they check the
+criterion instead of repeating it.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .partitions import enumerate_partitions, partition
 from .socle import complementary_degree
@@ -25,11 +24,7 @@ from .socle import complementary_degree
 
 def _min_genus(valence):
     # stability 2g - 2 + n > 0 at a vertex of valence n
-    if valence == 0:
-        return 2
-    if valence <= 2:
-        return 1
-    return 0
+    return 2 if valence == 0 else 1 if valence <= 2 else 0
 
 
 @dataclass(frozen=True)
@@ -179,77 +174,80 @@ def _genus_assignments(degrees, g):
 def enumerate_pure_housing_partitions(g, d):
     """Housing data of every pure boundary stratum of genus g in degree d.
 
-    The undecorated slice of the stratum walk, projected to the socle
-    remainders.  The vertex count is 2g-2-d; when that is 1 (d = 2g-3)
-    the single undecorated vertex itself is the only stratum.
+    Listed from the trees on 2g-2-d vertices, not by ``reduced_data``;
+    at d = 2g-3 the single undecorated vertex is the only stratum.
     """
-    return frozenset(partition(m for m, _, _ in data)
-                     for data in reduced_data(g, d, (0,)))
+    complementary_degree(g, d)
+    return frozenset(
+        partition(x for x in (2 * gv - 3 + nv for gv, nv in zip(genera, degrees)) if x)
+        for degrees in tree_degree_multisets(2 * g - 2 - d)
+        for genera in _genus_assignments(degrees, g))
 
 
 def enumerate_boundary_generators(g, d):
-    """Reduced boundary data of every decorated boundary stratum.
-
-    Decoration budget k runs over 0..2g-4-d so that at least one edge
-    remains; a vertex of socle dimension m may carry kappa and psi
-    partitions of total size at most m, psi length bounded by the
-    valence.  Vertices with remainder zero are dropped: they only scale
-    the row by their theta value, a positive word count, which leaves
-    the row span unchanged.
-    Output is deduplicated and canonically sorted.
-    """
-    return tuple(sorted(reduced_data(g, d, range(0, 2 * g - 3 - d))))
+    """Reduced boundary data of every decorated boundary stratum, ascending."""
+    return tuple(reduced_data(g, d))
 
 
-def reduced_data(g, d, budgets):
-    """Reduced data of the strata with k decorations, for each k in ``budgets``.
+def reduced_data(g, d):
+    """Iterator over the reduced data of the strata of (g, d), ascending.
 
-    Returns a set of data, each a tuple of nonzero (remainder, kappa,
-    psi) triples in descending order, the format ``coeffs.stratum_row``
-    takes.  A stratum with k decorations has 2g-2-d-k vertices; each of their
-    degree multisets gets every stable genus assignment, whose
-    decorations of total size k ``_fold`` reduces.
-    Only the (dimension, min(valence, dimension)) pairs of the
-    positive-dimension vertices reach ``_fold``, so each distinct sorted
-    tuple of them is folded once per k.
+    A datum is a tuple of nonzero (m, kappa, psi) triples, descending,
+    with the m summing to d.  Let c = |kappa| + |psi| and lo be the least
+    n >= max(1, len psi) with n = m + c + 1 (mod 2).  Triples form the
+    datum of a stratum with an edge exactly when
+
+        sum (1 + c) <= 2g-2-d   and   sum (lo - 1 + c) <= 2g-4-d.
+
+    Proof.  On V vertices with k decorations the socle dimensions
+    D = 2g(v) - 3 + n(v) sum to 2g - 2 - V = d + k.  A vertex with
+    D = m + c has genus (D + 3 - n)/2, so its valence n has the parity of
+    D + 1 and lies in [max(1, len psi), D + 3]; stability, D + 1 > 0,
+    holds, and the genera sum to g once V + k = 2g-2-d.  By Pruefer
+    codes, V >= 2 positive integers are the degrees of a tree when they
+    sum to 2V - 2, which has the parity of sum (D + 1) and lies below
+    sum (D + 3); so a tree exists exactly when sum lo <= 2V - 2, that is
+    sum (lo - 1 + c) <= V + k - 2 = 2g-4-d, and then V >= 2.  Dropped
+    vertices of remainder zero add at least 1 to sum (1 + c) = V + k and
+    at least 0 to the other sum; undecorated ones (valence 1 or 3,
+    lo = 1) add exactly that, so they absorb what the datum leaves of
+    2g-2-d.  With c = 0 (lo = 1 for even m, 2 for odd) this is
+    ``is_housing_partition``.
+
+    The search picks triples in non-increasing order, each from the
+    table of its remainder within what is left of both sums; it skips a
+    remainder m once the ceil(left / m) triples still needed exceed what
+    is left of the first sum.
     """
     complementary_degree(g, d)
-    found = set()
-    folded = set()
-    for k in budgets:
-        for degrees in tree_degree_multisets(2 * g - 2 - d - k):
-            for genera in _genus_assignments(degrees, g):
-                dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
-                key = (tuple(sorted((m, min(n, m)) for m, n in zip(dims, degrees) if m)), k)
-                if key not in folded:
-                    folded.add(key)
-                    found |= _fold(*key)
-    return found
+    tables = {}  # (m, room, spare) -> _triples(m, room, spare)
+
+    def search(path, left, room, spare):
+        # the data extending path, whose last triple bounds the next ones
+        top = path[-1] if path else (left + 1,)
+        for m in range(-(-left // room), min(top[0], left) + 1):
+            if (m, room, spare) not in tables:
+                tables[m, room, spare] = _triples(m, room, spare)
+            for triple, cost, excess in tables[m, room, spare]:
+                if triple > top:
+                    break
+                if m == left:
+                    yield path + (triple,)
+                elif (room - cost) * m >= left - m:
+                    yield from search(path + (triple,), left - m, room - cost, spare - excess)
+
+    return search((), d, 2 * g - 2 - d, 2 * g - 4 - d) if d else iter(((),))
 
 
-def _fold(vertices, k):
-    """Reduced data of the decorations of total size k on one shape.
-
-    ``vertices`` are the sorted (dimension, psi length bound) pairs of
-    the positive-dimension vertices.  A state is (sorted nonzero
-    (remainder, kappa, psi) triples, decorations left); each vertex,
-    smallest first, tries every (kappa, psi) that fits.  Equal states
-    merge, and a state is dropped once the later vertices cannot absorb
-    what it has left.
-    """
-    room = sum(dim for dim, _ in vertices)
-    states = {((), k)}
-    for dim, valence in vertices:
-        room -= dim
-        step = set()
-        for triples, left in states:
-            top = min(dim, left)
-            for a in range(top + 1):
-                for b in range(max(0, left - a - room), top - a + 1):
-                    for kap, psi in product(enumerate_partitions(a),
-                                            enumerate_partitions(b, valence)):
-                        new = ((dim - a - b, kap, psi),) if dim > a + b else ()
-                        step.add((tuple(sorted(triples + new, reverse=True)),
-                                  left - a - b))
-        states = step
-    return {triples for triples, left in states if not left}
+def _triples(m, room, spare):
+    # the triples of remainder m within both sums, ascending, with their costs
+    out = []
+    for c in range(min(room - 1, spare) + 1):
+        for a in range(c + 1):
+            for kap in enumerate_partitions(a):
+                for psi in enumerate_partitions(c - a):
+                    lo = max(1, len(psi))
+                    lo += (lo + m + c + 1) % 2
+                    if lo - 1 + c <= spare:
+                        out.append(((m, kap, psi), 1 + c, lo - 1 + c))
+    return sorted(out)

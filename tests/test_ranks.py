@@ -30,23 +30,25 @@ from soclerank.strata import (
 )
 
 
+def _pure_data(g, d):
+    # the data of the pure strata, listed from the trees (none at d = 2g-3)
+    return {tuple((m, (), ()) for m in sigma)
+            for sigma in enumerate_pure_housing_partitions(g, d)} if d < 2 * g - 3 else set()
+
+
 def boundary_rows(g, d):
     """Rows on P(d) of every reduced boundary generator of (g, d), in two lazy blocks.
 
     The reference the kernel contraction of ``boundary_span`` replaces:
-    the first block holds the pure strata, the k = 0 slice of the walk
-    (none at d = 2g-3); the second, whose walk runs only once it is
-    advanced, builds the row of every generator with k >= 1 decorations
-    not in the first.  Rows come from ``coeffs.stratum_row`` as looked
-    up at call time, so a patched row reaches them.
+    the first block holds the pure strata, listed from the trees (none
+    at d = 2g-3); the second, whose search runs only once it is
+    advanced, builds the row of every other datum of ``reduced_data``.
+    Rows come from ``coeffs.stratum_row`` as looked up at call time, so
+    a patched row reaches them.
     """
-    pure = reduced_data(g, d, range(min(1, 2 * g - 3 - d)))
-
-    def decorated():
-        for data in reduced_data(g, d, range(1, 2 * g - 3 - d)) - pure:
-            yield coeffs.stratum_row(data)
-
-    return map(coeffs.stratum_row, pure), decorated()
+    pure = _pure_data(g, d)
+    decorated = (data for data in reduced_data(g, d) if data not in pure)
+    return map(coeffs.stratum_row, pure), map(coeffs.stratum_row, decorated)
 
 
 def _gauss_rank(rows):
@@ -281,22 +283,22 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
     # pure block's data, the k = 0 slice of the walk, are the undecorated
     # generators, so the two blocks never overlap; against random integer
     # vectors, the kernel contraction equals the dot product with the
-    # built row on every datum; and the boundary span ranks what streaming
-    # these rows does
+    # built row on every datum, which it yields in order; and the boundary
+    # span ranks what streaming these rows does
     rng = random.Random(16)
     for g in range(2, 9):
         for d in range(0, 2 * g - 2):
             generators = enumerate_boundary_generators(g, d)
-            if d < 2 * g - 3:
-                assert reduced_data(g, d, (0,)) == {
-                    data for data in generators if not any(kap or psi for _, kap, psi in data)
-                }
+            assert _pure_data(g, d) == {
+                data for data in generators if not any(kap or psi for _, kap, psi in data)
+            }
             canonical = [v_form(data, d).values for data in generators]
             if d:
                 kernel = [[rng.randrange(-9, 10) for _ in range(len(enumerate_partitions(d)))]
                           for _ in range(2)]
                 assert list(kernel_products(kernel, generators)) == [
-                    tuple(sum(a * b for a, b in zip(k, row)) for k in kernel) for row in canonical]
+                    (data, tuple(sum(a * b for a, b in zip(k, row)) for k in kernel))
+                    for data, row in zip(generators, canonical)]
             pure, decorated = map(list, boundary_rows(g, d))
             assert sorted(pure + decorated) == sorted(canonical)
             rank = exact_rank(canonical)
@@ -346,7 +348,7 @@ def test_passing_cells_build_no_decorated_row(monkeypatch):
 
 def _cell_data(g, d):
     # every reduced boundary datum of (g, d), in the order the contraction walks
-    return sorted(reduced_data(g, d, range(2 * g - 3 - d)), reverse=True)
+    return list(reduced_data(g, d))
 
 
 def _direct_products(kernel, data):
@@ -370,7 +372,7 @@ def test_corrupted_kernel_vector_is_flagged_at_the_first_direct_product():
             bad[rng.randrange(len(bad))][rng.randrange(len(bad[0]))] += rng.choice((-1, 1))
             first = _first_nonzero(_direct_products(bad, data))
             assert first is not None
-            assert _first_nonzero(kernel_products(bad, data)) == first
+            assert _first_nonzero(v for _, v in kernel_products(bad, data)) == first
 
 
 def _kappa_rows(g, d):
@@ -422,7 +424,7 @@ def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
             boundary_span.cache_clear()
             try:
                 first = _first_nonzero(_direct_products(kernel, data))
-                assert _first_nonzero(kernel_products(kernel, data)) == first
+                assert _first_nonzero(v for _, v in kernel_products(kernel, data)) == first
                 if first is not None:
                     assert bad in data[first]
                     rank_pure, rank_full, _ = boundary_span(g, d)

@@ -7,7 +7,6 @@ import pytest
 from soclerank.partitions import enumerate_partitions, partition
 from soclerank.strata import (
     DecoratedTree,
-    _fold,
     _genus_assignments,
     _min_genus,
     build_housing_tree,
@@ -17,6 +16,51 @@ from soclerank.strata import (
     is_housing_partition,
     tree_degree_multisets,
 )
+
+
+def _fold(vertices, k):
+    """Reduced data of the decorations of total size k on one shape.
+
+    ``vertices`` are the sorted (dimension, psi length bound) pairs of
+    the positive-dimension vertices.  A state is (sorted nonzero
+    (remainder, kappa, psi) triples, decorations left); each vertex,
+    smallest first, tries every (kappa, psi) that fits.  Equal states
+    merge, and a state is dropped once the later vertices cannot absorb
+    what it has left.
+    """
+    room = sum(dim for dim, _ in vertices)
+    states = {((), k)}
+    for dim, valence in vertices:
+        room -= dim
+        step = set()
+        for triples, left in states:
+            top = min(dim, left)
+            for a in range(top + 1):
+                for b in range(max(0, left - a - room), top - a + 1):
+                    for kap, psi in product(enumerate_partitions(a),
+                                            enumerate_partitions(b, valence)):
+                        new = ((dim - a - b, kap, psi),) if dim > a + b else ()
+                        step.add((tuple(sorted(triples + new, reverse=True)),
+                                  left - a - b))
+        states = step
+    return {triples for triples, left in states if not left}
+
+
+def _fold_data(g, d, budgets):
+    # the shape walk the criterion search replaced, the reference for it:
+    # every degree multiset and genus assignment of each budget k of
+    # decorations, with the decorations of each distinct shape folded once
+    found = set()
+    folded = set()
+    for k in budgets:
+        for degrees in tree_degree_multisets(2 * g - 2 - d - k):
+            for genera in _genus_assignments(degrees, g):
+                dims = [2 * gv - 3 + nv for gv, nv in zip(genera, degrees)]
+                key = (tuple(sorted((m, min(n, m)) for m, n in zip(dims, degrees) if m)), k)
+                if key not in folded:
+                    folded.add(key)
+                    found |= _fold(*key)
+    return found
 
 
 def enumerate_labeled_trees(n):
@@ -77,7 +121,7 @@ def boundary_generators_via_labeled_trees(g, d):
 
     Walks the valence sequences of Pruefer-coded labeled trees with
     every genus composition, folding the decorations of each with
-    ``strata._fold``; must agree with enumerate_boundary_generators.
+    ``_fold``; must agree with enumerate_boundary_generators.
     """
     found = set()
     for k in range(0, 2 * g - 3 - d):
@@ -250,10 +294,19 @@ def test_fold_matches_product_walk():
     for g in range(2, 8):
         for d in range(0, 2 * g - 2):
             slow = _product_walk(g, d, range(0, 2 * g - 3 - d))
-            assert enumerate_boundary_generators(g, d) == tuple(sorted(slow))
+            assert _fold_data(g, d, range(0, 2 * g - 3 - d)) == slow
             pure = {partition(m for m, _, _ in data)
                     for data in _product_walk(g, d, (0,))}
             assert enumerate_pure_housing_partitions(g, d) == pure
+
+
+def test_criterion_search_matches_fold():
+    # ordered tuples: the search lists each datum of the fold once, and
+    # in ascending order, on every cell to genus 9
+    for g in range(2, 10):
+        for d in range(0, 2 * g - 2):
+            fold = _fold_data(g, d, range(0, 2 * g - 3 - d))
+            assert enumerate_boundary_generators(g, d) == tuple(sorted(fold))
 
 
 # (count, sha256 of repr) of enumerate_boundary_generators(8, d), recorded
