@@ -20,12 +20,13 @@ from soclerank import (
 
 # one cell in detail: genus 5, degree 4
 g, d = 5, 4
-# the pure strata rows are ranked, and the decorated strata are checked
-# against the kernel of those rows without building their rows
-rank_pure, rank_full, kernel = boundary_span(g, d)
+# the pure strata rows go into an integer echelon first; the decorated
+# strata follow as products of a spanning set of one-vertex rows, without
+# building the row of every datum
+rank_pure, rank_full, echelon = boundary_span(g, d)
 print("pure matrix rank:    ", rank_pure)
 print("full matrix rank:    ", rank_full)
-print("kernel vectors:      ", len(kernel))
+print("echelon rows:        ", len(echelon))
 print("counting formula:    ", housing_rank_formula(g, d))
 print("report:", verify_housing_theorem(g, d))
 

@@ -82,19 +82,16 @@ def _dest(flag):
     return "lam" if flag == "lambda" else flag
 
 
-def _jsonable(x):
+def _scalar(x):
+    # what json.dumps cannot write itself: a Fraction, as an int or exactly
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else format_scalar(x)
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
+    raise TypeError("%r is not JSON serializable" % (x,))
 
 
 def _csv_cell(v):
     if isinstance(v, (list, tuple)):
-        return json.dumps(_jsonable(v))
+        return json.dumps(v, default=_scalar)
     if isinstance(v, Fraction):
         return format_scalar(v)
     return v
@@ -120,7 +117,7 @@ def _emit(fmt, rows, fields, pretty):
     try:
         for row in rows:
             if fmt == "json":
-                print(json.dumps(_jsonable(row)))
+                print(json.dumps(row, default=_scalar))
             elif fmt == "csv":
                 for sub in row.get("rows", [{}]):
                     writer.writerow({k: _csv_cell((row | sub).get(k, "")) for k in fields})

@@ -123,19 +123,24 @@ def _split_vertices(data):
 def stratum_row(targets):
     """Unchecked row on P(d) of sorted nonzero (m, kappa, psi) triples summing to d."""
     # one vertex pairs pi with theta(pi + kappa; psi); a refining map onto more
-    # sends a labeled sub-multiset s of pi to the first vertex and the rest t
-    # onto the others, so each pair (s, t) adds ways * head[s] * tail[t] at
-    # pi = s + t; no vertex leaves (1,)
+    # sends a labeled sub-multiset of pi to the first vertex and the rest onto
+    # the others, their ``product``; no vertex leaves (1,)
     if not targets:
         return (1,)
     (m, kap, psi), d = targets[0], sum(v[0] for v in targets)
     if len(targets) == 1:
         return tuple(theta(partition(pi + kap), psi) for pi in enumerate_partitions(m))
-    head, tail = stratum_row(targets[:1]), stratum_row(targets[1:])
-    row = [0] * len(enumerate_partitions(d))
-    for h, pairs in zip(head, unions(m, d - m)):
-        for (k, ways), t in zip(pairs, tail):
-            row[k] += ways * h * t
+    return product(stratum_row(targets[:1]), stratum_row(targets[1:]), m, d - m)
+
+
+def product(head, tail, m, n):
+    """Row on P(m + n) of rows on P(m) and P(n); commutative, as ways is symmetric."""
+    # each pair (s, t) of the unions table adds ways * head[s] * tail[t] at s + t
+    row = [0] * len(enumerate_partitions(m + n))
+    for h, pairs in zip(head, unions(m, n)):
+        if h:
+            for (k, ways), t in zip(pairs, tail):
+                row[k] += ways * h * t
     return tuple(row)
 
 

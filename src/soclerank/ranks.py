@@ -2,21 +2,21 @@
 
 The verifiers build pairing rows, boundary stratum forms (columns
 indexed by P(d) in canonical order) or socle integrals of the smooth
-locus, and rank nested blocks of them over the rationals in one pass
-each, reporting every number involved so a failing cell is diagnosable.
-The decorated boundary strata are checked against the kernel of the
-pure strata rows by contraction, without building their rows.
+locus, and rank nested blocks of them over the rationals in one integer
+echelon each, reporting every number involved so a failing cell is
+diagnosable.  The decorated boundary strata are ranked through products
+of a spanning set of one-vertex rows, not datum by datum.
 """
 
 from functools import lru_cache
+from itertools import chain
 from math import gcd
-from operator import mul
 
-from .coeffs import LinearForm, eta_form, stratum_row
+from .coeffs import LinearForm, eta_form, product, stratum_row
 from .exact import fz_count, partition_count
-from .partitions import enumerate_partitions, partition, unions
+from .partitions import enumerate_partitions, partition
 from .socle import complementary_degree, mu
-from .strata import enumerate_pure_housing_partitions, is_housing_partition, reduced_data
+from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition
 
 
 def exact_rank(rows, *more):
@@ -26,21 +26,19 @@ def exact_rank(rows, *more):
     of the ranks of block 1, of blocks 1-2, and so on, from one pass
     over the blocks (any iterables) in order.  Every row consumed must
     have the width of the first row and int entries (not bools), or
-    ValueError is raised.  The pass keeps an integer basis K of the
-    vectors orthogonal to every row so far, starting from the unit
-    vectors, and updates it by ``_kernel``; the rank is width - |K|.
-    Once K is empty no further row is consumed, and every later block
+    ValueError is raised.  The pass continues one ``_echelon``; once it
+    holds width rows no further row is consumed, and every later block
     reports the width.
     """
-    kernel, width, ranks = None, 0, []
+    kept, width, ranks = (), None, []
     for block in map(iter, (rows,) + more):
-        if kernel is None:
+        if width is None:
             first = next(block, None)
             if first is not None:
-                width = len(first)
-                kernel = _reduce(_units(width), _checked(first, width))
-        kernel = _kernel(kernel, (_checked(row, width) for row in block))
-        ranks.append(0 if kernel is None else width - len(kernel))
+                width, block = len(first), chain((first,), block)
+        if width is not None:
+            kept = _echelon(kept, (_checked(row, width) for row in block), width)
+        ranks.append(len(kept))
     return tuple(ranks) if more else ranks[0]
 
 
@@ -52,108 +50,108 @@ def _checked(row, width):
     return row
 
 
-def _kernel(kernel, rows):
-    # reduce kernel by each row in turn; no row is read once it is empty (or None)
-    for row in rows if kernel else ():
-        kernel = _reduce(kernel, row)
-        if not kernel:
-            break
-    return kernel
-
-
-def _units(width):
-    return [[int(i == j) for j in range(width)] for i in range(width)]
-
-
-def _reduce(kernel, row):
-    # the basis of the vectors in span(kernel) orthogonal to row, as a new
-    # list: with v = (row . k for k in kernel) zero the row lies in the span;
-    # otherwise the first k_j with v_j nonzero is dropped and every other k_i
-    # with v_i nonzero becomes v_j*k_i - v_i*k_j, divided by its gcd
-    v = [sum(map(mul, row, k)) for k in kernel]
-    j = next((i for i, x in enumerate(v) if x), None)
-    if j is None:
-        return kernel
-    lead, pivot = v[j], kernel[j]
-    return [k if not x else _primitive([lead * a - x * b for a, b in zip(k, pivot)])
-            for i, (k, x) in enumerate(zip(kernel, v)) if i != j]
-
-
-def _primitive(vector):
-    div = gcd(*vector)
-    return [x // div for x in vector]
+def _echelon(kept, rows, width):
+    # kept holds (leading column, primitive row) pairs, each row zero at the
+    # leading columns of those kept before it; a new row is reduced by them in
+    # that order, on each pivot's nonzero entries, scaled first where the lead
+    # does not divide its head; a nonzero rest is kept over its gcd, and
+    # nothing is read once width rows are kept
+    kept = list(kept)
+    entries = [[(j, y) for j, y in enumerate(pivot) if y] for _, pivot in kept]
+    for row in rows if len(kept) < width else ():
+        row = list(row)
+        for (col, pivot), nonzero in zip(kept, entries):
+            head, lead = row[col], pivot[col]
+            if head % lead:
+                scale = lead // gcd(lead, head)
+                row, head = [scale * x for x in row], scale * head
+            quotient = head // lead
+            for j, y in nonzero if quotient else ():
+                row[j] -= quotient * y
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            div = gcd(*row)
+            kept.append((col, tuple(x // div for x in row)))
+            entries.append([(j, y // div) for j, y in enumerate(row) if y])
+            if len(kept) == width:
+                break
+    return tuple(kept)
 
 
 @lru_cache(maxsize=None)
 def boundary_span(g, d):
-    """The boundary rank of (g, d) with its certificate, computed once per (g, d).
+    """The boundary rank of (g, d) with its echelon, computed once per (g, d).
 
-    Returns (rank_pure, rank_full, kernel).  The rows of the pure strata,
-    listed from the trees (none at d = 2g-3), are reduced first; their
-    kernel K is then checked against every other datum of
-    ``reduced_data`` by ``kernel_products``, building no row while the
-    products vanish.  A datum with a nonzero product has its row reduced
-    into K and the walk goes on after it; the new K lies in the span of
-    the old, so rank_full is exact whatever the products.  The kernel is
-    a tuple of tuples, orthogonal to every boundary row, with
-    width - rank_full vectors; callers continue from it.
+    Returns (rank_pure, rank_full, echelon).  The rows of the pure
+    strata, listed from the trees (none at d = 2g-3), go in first; then
+    the rows of S(d, 2g-2-d, 2g-4-d, d).  S(n, room, spare, top) is an
+    echelon of the rows of the data within the two sums of
+    ``strata.reduced_data`` whose remainders sum to n and are at most
+    top: the echelon of product(row, b) over each row of
+    ``_spanning_rows(m, 2g-2-d, 2g-4-d)`` with m <= top whose costs fit
+    and each b in S(n - m, room - cost, spare - excess, m), with
+    S(0, ...) = [(1,)].  The echelon is a tuple of (leading column, row)
+    pairs spanning every boundary row; callers continue from it.
+
+    Proof that rank_full is the rank of the rows of all the data.  The
+    row of a datum is the product of its one-vertex rows, and
+    ``product`` is bilinear, commutative and associative, so the row is
+    multilinear in its one-vertex rows, in any vertex order.  The
+    criterion sees a triple only through m and its class (cost, excess),
+    and moving a vertex to a class it dominates only lowers both sums,
+    so a datum stays a datum.  By induction over the classes, cheapest
+    first, every one-vertex row lies in the span of the spanning rows
+    of its class and the classes below it, and each spanning row is a
+    combination of one-vertex rows of such classes; replacing the
+    vertices one at a time, the products of spanning rows that fit span
+    exactly the rows of the data.  Taking the vertex of largest
+    remainder first gives the recursion of S, and an echelon spans the
+    rows it was given.
     """
-    width = len(enumerate_partitions(d))
+    width, budgets = len(enumerate_partitions(d)), (2 * g - 2 - d, 2 * g - 4 - d)
     pure = {tuple((m, (), ()) for m in sigma)
-            for sigma in enumerate_pure_housing_partitions(g, d)} if d < 2 * g - 3 else set()
-    kernel = _kernel(_units(width), map(stratum_row, pure))
-    rank_pure = width - len(kernel)
-    rest = (datum for datum in reduced_data(g, d) if datum not in pure)
-    while kernel:
-        flagged = next((datum for datum, v in kernel_products(kernel, rest) if any(v)), None)
-        if flagged is None:
-            break
-        kernel = _reduce(kernel, stratum_row(flagged))
-    return rank_pure, width - len(kernel), tuple(map(tuple, kernel))
+            for sigma in enumerate_pure_housing_partitions(g, d)} if d < 2 * g - 3 else ()
+    kept = _echelon((), map(stratum_row, pure), width)
+    tables, states = {}, {}
+
+    def rows(n, room, spare, top):
+        # the products of a spanning row of remainder m <= top with S of the rest
+        for m in range(1, min(top, n) + 1):
+            if m not in tables:
+                tables[m] = _spanning_rows(m, *budgets)
+            for row, cost, excess in tables[m]:
+                if cost <= room and excess <= spare and (room - cost) * m >= n - m:
+                    for _, rest in span(n - m, room - cost, spare - excess, m):
+                        yield product(row, rest, m, n - m)
+
+    def span(n, room, spare, top):
+        if not n:
+            return ((0, (1,)),)
+        key = n, room, spare, min(top, n)
+        if key not in states:
+            states[key] = _echelon((), rows(*key), len(enumerate_partitions(n)))
+        return states[key]
+
+    full = _echelon(kept, rows(d, *budgets, d), width)
+    return len(kept), len(full), full
 
 
-def kernel_products(kernel, data):
-    """Yield each datum with the products of the kernel vectors with its row, unbuilt.
+def _spanning_rows(m, room, spare):
+    """Rows spanning the one-vertex rows of remainder m, as (row, cost, excess).
 
-    ``data`` are sorted nonzero (m, kappa, psi) triples summing to d,
-    the vectors lie on P(d).  The row of a datum is the product of its
-    one-vertex rows h, and k . (h * rest) = k' . rest with
-    k'[t] = sum over s of h[s] * ways * k[s + t], over the pairs of
-    ``unions(m, n)``; so every k is pulled back through the vertices
-    one at a time, and at the last vertex the product is one dot
-    product with its one-vertex row.  Data met in sorted order share
-    the vectors pulled through their common prefix; each is read only
-    when its pair is asked for.
+    The triples of ``strata._triples(m, room, spare)`` are grouped by
+    class (cost, excess) = (1 + c, lo - 1 + c), walked in that order.
+    Each class keeps the rows its one-vertex rows add to an echelon of
+    the rows kept in the classes it dominates, its own included.
     """
-    path, pulled = (), [kernel]
-    for datum in data:
-        head, last = datum[:-1], datum[-1]
-        if head != path:
-            keep = 0
-            while keep < min(len(path), len(head)) and path[keep] == head[keep]:
-                keep += 1
-            del pulled[keep + 1:]
-            n = sum(m for m, _, _ in datum[keep:])
-            for vertex in head[keep:]:
-                n -= vertex[0]
-                pulled.append(_pull(pulled[-1], stratum_row((vertex,)), unions(vertex[0], n)))
-            path = head
-        row = stratum_row((last,))
-        yield datum, tuple(sum(map(mul, k, row)) for k in pulled[-1])
-
-
-def _pull(vectors, head, table):
-    # k'[t] = sum over s of head[s] * ways * k[index] for the (index, ways)
-    # pair of s and t in the unions table; the scaled pairs serve every k
-    scaled = [(t, i, h * ways) for h, pairs in zip(head, table) if h
-              for t, (i, ways) in enumerate(pairs)]
-    out = []
-    for k in vectors:
-        pulled = [0] * len(table[0])
-        for t, i, c in scaled:
-            pulled[t] += c * k[i]
-        out.append(pulled)
-    return out
+    classes, size, kept = {}, len(enumerate_partitions(m)), []
+    for triple, cost, excess in _triples(m, room, spare):
+        classes.setdefault((cost, excess), []).append(triple)
+    for (cost, excess), triples in sorted(classes.items()):
+        below = _echelon((), (row for row, c, e in kept if c <= cost and e <= excess), size)
+        more = _echelon(below, (stratum_row((t,)) for t in triples), size)
+        kept += [(row, cost, excess) for _, row in more[len(below):]]
+    return kept
 
 
 def kappa_row(tau, d):
@@ -199,11 +197,10 @@ def verify_rank_theorem(g, r):
     complementary_degree(g, d)
     if not 0 <= r <= g - 2:
         raise ValueError("need 0 <= r <= g-2")
-    width = len(enumerate_partitions(d))
-    # r = 0 has no boundary stratum: the kappa rows start from the unit vectors
-    _, rank_boundary, kernel = boundary_span(g, d) if r else (0, 0, _units(width))
-    kernel = _kernel(kernel, (kappa_row(tau, d).values for tau in enumerate_partitions(r)))
-    rank_stacked = width - len(kernel)
+    # r = 0 has no boundary stratum: the kappa rows start from an empty echelon
+    _, rank_boundary, kept = boundary_span(g, d) if r else (0, 0, ())
+    kappa = (kappa_row(tau, d).values for tau in enumerate_partitions(r))
+    rank_stacked = len(_echelon(kept, kappa, len(enumerate_partitions(d))))
     rank_smooth = exact_rank(smooth_matrix(g, r))
     return {
         "rank_stacked": rank_stacked,

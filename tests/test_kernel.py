@@ -13,12 +13,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclerank.coeffs import c_coefficient, m_form, v_form
+from soclerank.coeffs import c_coefficient, m_form, product, stratum_row, v_form
 from soclerank.exact import double_factorial, factorial, multinomial
 from soclerank.partitions import (
     automorphism_count,
@@ -212,6 +213,31 @@ def test_split_products_count_refining_maps():
             counts = _union_counts(target)
             for source, count in zip(enumerate_partitions(n), counts):
                 assert count == len(enumerate_refining_functions(target, source)), (source, target)
+
+
+def test_product_is_commutative_and_associative():
+    # the spanning triples of ranks.boundary_span rest on this: a stratum
+    # row is multilinear in its one-vertex rows, whatever their order
+    rng = random.Random(21)
+    for _ in range(300):
+        m, n, k = (rng.randrange(0, 7) for _ in range(3))
+        a, b, c = ([rng.randrange(-9, 10) for _ in enumerate_partitions(x)] for x in (m, n, k))
+        assert product(a, b, m, n) == product(b, a, n, m)
+        assert product(product(a, b, m, n), c, m + n, k) == product(a, product(b, c, n, k), m, n + k)
+
+
+def test_stratum_row_is_the_product_of_its_vertex_rows_in_every_order():
+    count = 0
+    for g in range(2, 7):
+        for d in range(1, 2 * g - 2):
+            for datum in enumerate_boundary_generators(g, d):
+                for order in set(permutations(datum)) if len(datum) > 1 else ():
+                    row, n = (1,), 0
+                    for vertex in order:
+                        row, n = product(row, stratum_row((vertex,)), n, vertex[0]), n + vertex[0]
+                    assert row == stratum_row(datum), order
+                    count += 1
+    assert count == 2394
 
 
 def test_theta_matches_set_partition_sum():

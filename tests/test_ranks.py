@@ -9,13 +9,13 @@ from soclerank.coeffs import pure_row, stratum_row, v_form
 from soclerank.exact import partition_count
 from soclerank.partitions import enumerate_partitions
 from soclerank.ranks import (
+    _spanning_rows,
     betti_report,
     boundary_span,
     eta_matrix,
     exact_rank,
     housing_rank_formula,
     kappa_row,
-    kernel_products,
     smooth_matrix,
     verify_housing_theorem,
     verify_length_restriction,
@@ -23,6 +23,7 @@ from soclerank.ranks import (
     verify_span_equality,
 )
 from soclerank.strata import (
+    _triples,
     enumerate_boundary_generators,
     enumerate_pure_housing_partitions,
     is_housing_partition,
@@ -39,8 +40,8 @@ def _pure_data(g, d):
 def boundary_rows(g, d):
     """Rows on P(d) of every reduced boundary generator of (g, d), in two lazy blocks.
 
-    The reference the kernel contraction of ``boundary_span`` replaces:
-    the first block holds the pure strata, listed from the trees (none
+    The reference for the spanning products of ``boundary_span``: the
+    first block holds the pure strata, listed from the trees (none
     at d = 2g-3); the second, whose search runs only once it is
     advanced, builds the row of every other datum of ``reduced_data``.
     Rows come from ``coeffs.stratum_row`` as looked up at call time, so
@@ -278,14 +279,11 @@ def test_exact_rank_matches_bareiss_on_grid():
 
 def test_exact_rank_matches_references_on_full_boundary_matrices():
     # every g <= 8 boundary matrix, built whole: in canonical generator
-    # order and pure strata first, the kernel rank equals the echelon and
-    # the Bareiss rank, and so does the rank after the pure rows; the
+    # order and pure strata first, the rank equals the reference echelon
+    # and the Bareiss rank, and so does the rank after the pure rows; the
     # pure block's data, the k = 0 slice of the walk, are the undecorated
-    # generators, so the two blocks never overlap; against random integer
-    # vectors, the kernel contraction equals the dot product with the
-    # built row on every datum, which it yields in order; and the boundary
-    # span ranks what streaming these rows does
-    rng = random.Random(16)
+    # generators, so the two blocks never overlap; and the boundary span
+    # ranks what streaming these rows does
     for g in range(2, 9):
         for d in range(0, 2 * g - 2):
             generators = enumerate_boundary_generators(g, d)
@@ -293,12 +291,6 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
                 data for data in generators if not any(kap or psi for _, kap, psi in data)
             }
             canonical = [v_form(data, d).values for data in generators]
-            if d:
-                kernel = [[rng.randrange(-9, 10) for _ in range(len(enumerate_partitions(d)))]
-                          for _ in range(2)]
-                assert list(kernel_products(kernel, generators)) == [
-                    (data, tuple(sum(a * b for a, b in zip(k, row)) for k in kernel))
-                    for data, row in zip(generators, canonical)]
             pure, decorated = map(list, boundary_rows(g, d))
             assert sorted(pure + decorated) == sorted(canonical)
             rank = exact_rank(canonical)
@@ -306,7 +298,7 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
             streamed = exact_rank(pure, decorated, _kappa_rows(g, d))
             assert streamed[:2] == (_echelon_rank(pure), rank)
             assert exact_rank(pure + decorated) == _echelon_rank(pure + decorated) == rank
-            _assert_span_matches(g, d, pure, streamed)
+            _assert_span_matches(g, d, pure + decorated, streamed)
 
 
 def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
@@ -328,51 +320,39 @@ def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
     assert calls
 
 
-def test_passing_cells_build_no_decorated_row(monkeypatch):
-    # on the cells with d >= g-1 the contraction reads one-vertex rows only:
-    # no multi-vertex row with a decoration is built while the products vanish
+def test_span_reads_one_vertex_rows_only(monkeypatch):
+    # on the cells with d >= g-1 the span asks stratum_row for the pure rows
+    # and for one-vertex rows only; every other row is a product of those
     boundary_span.cache_clear()
-    decorated = []
+    calls = []
 
     def recorded(data):
-        if len(data) > 1 and any(kap or psi for _, kap, psi in data):
-            decorated.append(data)
+        calls.append(data)
         return stratum_row(data)
 
     monkeypatch.setattr("soclerank.ranks.stratum_row", recorded)
     for g in range(2, 9):
         for d in range(g - 1, 2 * g - 3):
             assert verify_housing_theorem(g, d)["ok"]
-    assert not decorated
+    decorated = [data for data in calls if any(kap or psi for _, kap, psi in data)]
+    assert decorated and all(len(data) == 1 for data in decorated)
 
 
-def _cell_data(g, d):
-    # every reduced boundary datum of (g, d), in the order the contraction walks
-    return list(reduced_data(g, d))
-
-
-def _direct_products(kernel, data):
-    for datum in data:
-        row = coeffs.stratum_row(datum)
-        yield tuple(sum(a * b for a, b in zip(k, row)) for k in kernel)
-
-
-def _first_nonzero(products):
-    return next((i for i, v in enumerate(products) if any(v)), None)
-
-
-def test_corrupted_kernel_vector_is_flagged_at_the_first_direct_product():
-    rng = random.Random(61)
-    for g, d in ((5, 4), (6, 6), (7, 6), (7, 9), (8, 7), (8, 10)):
-        data = _cell_data(g, d)
-        _, _, kernel = boundary_span(g, d)
-        assert kernel and _first_nonzero(_direct_products(kernel, data)) is None
-        for _ in range(4):
-            bad = [list(k) for k in kernel]
-            bad[rng.randrange(len(bad))][rng.randrange(len(bad[0]))] += rng.choice((-1, 1))
-            first = _first_nonzero(_direct_products(bad, data))
-            assert first is not None
-            assert _first_nonzero(v for _, v in kernel_products(bad, data)) == first
+def test_spanning_rows_span_each_class_from_below():
+    # what the proof of boundary_span needs of the kept rows: for every
+    # class (cost, excess), the rows kept in the classes it dominates, its
+    # own included, span exactly the one-vertex rows of those classes
+    tables = {(m, 2 * g - 2 - d, 2 * g - 4 - d)
+              for g in range(2, 10) for d in range(1, 2 * g - 3) for m in range(1, d + 1)}
+    kept_total = triples_total = 0
+    for m, room, spare in sorted(tables):
+        kept, triples = _spanning_rows(m, room, spare), _triples(m, room, spare)
+        for cost, excess in {(c, e) for _, c, e in triples}:
+            below = [list(row) for row, c, e in kept if c <= cost and e <= excess]
+            ones = [list(stratum_row((t,))) for t, c, e in triples if c <= cost and e <= excess]
+            assert exact_rank(below + ones) == exact_rank(below) == exact_rank(ones)
+        kept_total, triples_total = kept_total + len(kept), triples_total + len(triples)
+    assert kept_total < triples_total
 
 
 def _kappa_rows(g, d):
@@ -381,14 +361,14 @@ def _kappa_rows(g, d):
     return [kappa_row(tau, d).values for tau in enumerate_partitions(r)] if d >= g - 1 else []
 
 
-def _assert_span_matches(g, d, pure, streamed):
+def _assert_span_matches(g, d, rows, streamed):
     # the span's ranks equal those of streaming every built row into
-    # exact_rank, its kernel is orthogonal to every pure row, and a rank
-    # cell (d >= g-1) stacks the kappa rows onto the same kernel
-    rank_pure, rank_full, kernel = boundary_span(g, d)
+    # exact_rank, its echelon holds rank_full rows in the span of the built
+    # ones, and a rank cell (d >= g-1) stacks the kappa rows onto it
+    rank_pure, rank_full, echelon = boundary_span(g, d)
     assert (rank_pure, rank_full) == streamed[:2]
-    assert len(kernel) == len(enumerate_partitions(d)) - rank_full
-    assert all(sum(a * b for a, b in zip(k, row)) == 0 for k in kernel for row in pure)
+    assert len(echelon) == rank_full
+    assert exact_rank(rows + [list(row) for _, row in echelon]) == rank_full
     if d >= g - 1:
         report = verify_rank_theorem(g, 2 * g - 3 - d)
         assert (report["rank_boundary"], report["rank_stacked"]) == streamed[1:]
@@ -398,22 +378,20 @@ def test_boundary_span_matches_streamed_rows():
     # the g = 9 cells; the g <= 8 ones are checked on the rows
     # test_exact_rank_matches_references_on_full_boundary_matrices builds
     for d in range(0, 16):
-        pure, decorated = boundary_rows(9, d)
-        pure = list(pure)
-        _assert_span_matches(9, d, pure, exact_rank(pure, decorated, _kappa_rows(9, d)))
+        pure, decorated = map(list, boundary_rows(9, d))
+        _assert_span_matches(9, d, pure + decorated, exact_rank(pure, decorated, _kappa_rows(9, d)))
 
 
 def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
-    # one decorated one-vertex row gets 1 added at (m,); the contraction
-    # flags the same first datum as the rows built from it, or none when
-    # neither does; at the first vertex flagged, the span, which builds and
-    # reduces every flagged row and restarts after it, ranks exactly what
-    # streaming the built rows does
+    # one decorated one-vertex row gets 1 added at (m,); the span, which
+    # builds only one-vertex rows and their products, ranks exactly what
+    # streaming the rows built from the corrupted one does, up to the first
+    # vertex whose corruption raises that rank above the pure rank
     real = coeffs.stratum_row
     for g, d in ((6, 5), (6, 6), (7, 8)):
-        data = _cell_data(g, d)
-        _, rank, kernel = boundary_span(g, d)
-        for bad in sorted({v for datum in data for v in datum if v[0] < d and (v[1] or v[2])}):
+        rank = boundary_span(g, d)[1]
+        vertices = {v for datum in reduced_data(g, d) for v in datum if v[0] < d and (v[1] or v[2])}
+        for bad in sorted(vertices):
             def corrupt(targets, bad=bad):
                 row = real(targets)
                 return (row[0] + 1,) + row[1:] if targets == (bad,) else row
@@ -423,25 +401,21 @@ def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
             real.cache_clear()
             boundary_span.cache_clear()
             try:
-                first = _first_nonzero(_direct_products(kernel, data))
-                assert _first_nonzero(v for _, v in kernel_products(kernel, data)) == first
-                if first is not None:
-                    assert bad in data[first]
-                    rank_pure, rank_full, _ = boundary_span(g, d)
-                    assert (rank_pure, rank_full) == exact_rank(*boundary_rows(g, d))
-                    assert rank_pure == rank < rank_full
+                streamed = exact_rank(*boundary_rows(g, d))
+                assert boundary_span(g, d)[:2] == streamed
             finally:
                 monkeypatch.undo()
                 real.cache_clear()
                 boundary_span.cache_clear()
-            if first is not None:
+            if streamed[1] > streamed[0]:
+                assert streamed[0] == rank
                 break
         else:
-            raise AssertionError("no corrupted vertex row was flagged at (%d, %d)" % (g, d))
+            raise AssertionError("no corrupted vertex row raised the rank at (%d, %d)" % (g, d))
 
 
 def test_rank_cell_leaves_the_shared_span_unchanged():
-    # the rank cell continues from the memoized kernel without mutating it,
+    # the rank cell continues from the memoized echelon without mutating it,
     # so a housing cell read after it reports what a cleared memo does; the
     # r = 0 cell (d = 2g-3, no boundary stratum) asks for no span at all
     boundary_span.cache_clear()
