@@ -22,11 +22,11 @@ from soclerank import (
 g, d = 5, 4
 # the pure strata rows go into an integer echelon first; the decorated
 # strata follow as products of a spanning set of one-vertex rows, without
-# building the row of every datum
-rank_pure, rank_full, echelon = boundary_span(g, d)
+# building the row of every datum; the kappa rows of P(2g-3-d) come last
+rank_pure, rank_full, rank_stacked = boundary_span(g, d)
 print("pure matrix rank:    ", rank_pure)
 print("full matrix rank:    ", rank_full)
-print("echelon rows:        ", len(echelon))
+print("with kappa rows:     ", rank_stacked)
 print("counting formula:    ", housing_rank_formula(g, d))
 print("report:", verify_housing_theorem(g, d))
 

@@ -67,7 +67,6 @@ from .ranks import (
     eta_matrix,
     exact_rank,
     housing_rank_formula,
-    kappa_row,
     smooth_matrix,
     verify_housing_theorem,
     verify_length_restriction,

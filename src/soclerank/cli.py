@@ -83,15 +83,18 @@ def _dest(flag):
 
 
 def _scalar(x):
-    # what json.dumps cannot write itself: a Fraction, as an int or exactly
+    # what the JSON encoder cannot write itself: a Fraction, as an int or exactly
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else format_scalar(x)
     raise TypeError("%r is not JSON serializable" % (x,))
 
 
+_encode = json.JSONEncoder(default=_scalar).encode
+
+
 def _csv_cell(v):
     if isinstance(v, (list, tuple)):
-        return json.dumps(v, default=_scalar)
+        return _encode(v)
     if isinstance(v, Fraction):
         return format_scalar(v)
     return v
@@ -117,7 +120,7 @@ def _emit(fmt, rows, fields, pretty):
     try:
         for row in rows:
             if fmt == "json":
-                print(json.dumps(row, default=_scalar))
+                print(_encode(row))
             elif fmt == "csv":
                 for sub in row.get("rows", [{}]):
                     writer.writerow({k: _csv_cell((row | sub).get(k, "")) for k in fields})

@@ -12,9 +12,9 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 
-from .coeffs import LinearForm, eta_form, product, stratum_row
+from .coeffs import eta_form, product, stratum_row
 from .exact import fz_count, partition_count
-from .partitions import enumerate_partitions, partition
+from .partitions import enumerate_partitions
 from .socle import complementary_degree, mu
 from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition
 
@@ -80,18 +80,20 @@ def _echelon(kept, rows, width):
 
 @lru_cache(maxsize=None)
 def boundary_span(g, d):
-    """The boundary rank of (g, d) with its echelon, computed once per (g, d).
+    """The boundary and stacked ranks of (g, d), computed once per (g, d).
 
-    Returns (rank_pure, rank_full, echelon).  The rows of the pure
-    strata, listed from the trees (none at d = 2g-3), go in first; then
-    the rows of S(d, 2g-2-d, 2g-4-d, d).  S(n, room, spare, top) is an
-    echelon of the rows of the data within the two sums of
-    ``strata.reduced_data`` whose remainders sum to n and are at most
-    top: the echelon of product(row, b) over each row of
-    ``_spanning_rows(m, 2g-2-d, 2g-4-d)`` with m <= top whose costs fit
-    and each b in S(n - m, room - cost, spare - excess, m), with
-    S(0, ...) = [(1,)].  The echelon is a tuple of (leading column, row)
-    pairs spanning every boundary row; callers continue from it.
+    Returns (rank_pure, rank_full, rank_stacked).  The rows of the pure
+    strata, listed from the trees (none at d = 2g-3), go into one
+    echelon first; then the rows of S(d, 2g-2-d, 2g-4-d, d), which
+    span every boundary row; then the kappa rows pi -> theta(pi + tau)
+    over tau in P(2g-3-d).  S(n, room, spare, top) is an echelon of the
+    rows of the data within the two sums of ``strata.reduced_data``
+    whose remainders sum to n and are at most top: the echelon of
+    product(row, b) over each row of ``_spanning_rows(m, 2g-2-d,
+    2g-4-d)`` with m <= top whose costs fit and each b in
+    S(n - m, room - cost, spare - excess, m), with S(0, ...) = [(1,)].
+    At d = 2g-3 no triple fits the budgets (1, -1), so the ranks are
+    (0, 0, rank of the kappa rows).
 
     Proof that rank_full is the rank of the rows of all the data.  The
     row of a datum is the product of its one-vertex rows, and
@@ -133,7 +135,8 @@ def boundary_span(g, d):
         return states[key]
 
     full = _echelon(kept, rows(d, *budgets, d), width)
-    return len(kept), len(full), full
+    kappa = (stratum_row(((d, tau, ()),)) for tau in enumerate_partitions(2 * g - 3 - d))
+    return len(kept), len(full), len(_echelon(full, kappa, width))
 
 
 def _spanning_rows(m, room, spare):
@@ -152,11 +155,6 @@ def _spanning_rows(m, room, spare):
         more = _echelon(below, (stratum_row((t,)) for t in triples), size)
         kept += [(row, cost, excess) for _, row in more[len(below):]]
     return kept
-
-
-def kappa_row(tau, d):
-    """The one-vertex row pi -> theta(pi + tau) as a form on P(d)."""
-    return LinearForm(d, stratum_row(((d, partition(tau), ()),)))
 
 
 def smooth_matrix(g, r, max_length=None):
@@ -197,10 +195,7 @@ def verify_rank_theorem(g, r):
     complementary_degree(g, d)
     if not 0 <= r <= g - 2:
         raise ValueError("need 0 <= r <= g-2")
-    # r = 0 has no boundary stratum: the kappa rows start from an empty echelon
-    _, rank_boundary, kept = boundary_span(g, d) if r else (0, 0, ())
-    kappa = (kappa_row(tau, d).values for tau in enumerate_partitions(r))
-    rank_stacked = len(_echelon(kept, kappa, len(enumerate_partitions(d))))
+    _, rank_boundary, rank_stacked = boundary_span(g, d)
     rank_smooth = exact_rank(smooth_matrix(g, r))
     return {
         "rank_stacked": rank_stacked,

@@ -15,7 +15,6 @@ from soclerank.ranks import (
     eta_matrix,
     exact_rank,
     housing_rank_formula,
-    kappa_row,
     smooth_matrix,
     verify_housing_theorem,
     verify_length_restriction,
@@ -254,7 +253,7 @@ def _grid_blocks(max_g):
             yield tuple(map(list, boundary_rows(g, d)))
         for r in range(0, g - 1):
             d = 2 * g - 3 - r
-            kappa = [kappa_row(tau, d).values for tau in enumerate_partitions(r)]
+            kappa = [stratum_row(((d, tau, ()),)) for tau in enumerate_partitions(r)]
             short = smooth_matrix(g, r, max_length=r + 1)
             yield tuple(map(list, boundary_rows(g, d))) + (kappa,)
             yield (smooth_matrix(g, r),)
@@ -298,7 +297,7 @@ def test_exact_rank_matches_references_on_full_boundary_matrices():
             streamed = exact_rank(pure, decorated, _kappa_rows(g, d))
             assert streamed[:2] == (_echelon_rank(pure), rank)
             assert exact_rank(pure + decorated) == _echelon_rank(pure + decorated) == rank
-            _assert_span_matches(g, d, pure + decorated, streamed)
+            _assert_span_matches(g, d, streamed)
 
 
 def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
@@ -322,7 +321,8 @@ def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
 
 def test_span_reads_one_vertex_rows_only(monkeypatch):
     # on the cells with d >= g-1 the span asks stratum_row for the pure rows
-    # and for one-vertex rows only; every other row is a product of those
+    # and for one-vertex rows only (the kappa rows among them); every other
+    # row is a product of those
     boundary_span.cache_clear()
     calls = []
 
@@ -356,19 +356,15 @@ def test_spanning_rows_span_each_class_from_below():
 
 
 def _kappa_rows(g, d):
-    # the kappa rows a rank cell stacks on the boundary, none off the rank cells
-    r = 2 * g - 3 - d
-    return [kappa_row(tau, d).values for tau in enumerate_partitions(r)] if d >= g - 1 else []
+    # the kappa rows stacked on the boundary, built lazily: for d <= g-2 the
+    # boundary rows reach the width and none is read
+    return (stratum_row(((d, tau, ()),)) for tau in enumerate_partitions(2 * g - 3 - d))
 
 
-def _assert_span_matches(g, d, rows, streamed):
-    # the span's ranks equal those of streaming every built row into
-    # exact_rank, its echelon holds rank_full rows in the span of the built
-    # ones, and a rank cell (d >= g-1) stacks the kappa rows onto it
-    rank_pure, rank_full, echelon = boundary_span(g, d)
-    assert (rank_pure, rank_full) == streamed[:2]
-    assert len(echelon) == rank_full
-    assert exact_rank(rows + [list(row) for _, row in echelon]) == rank_full
+def _assert_span_matches(g, d, streamed):
+    # the span's three ranks equal those of streaming every built row, then
+    # the kappa rows, into exact_rank, and a rank cell (d >= g-1) reports them
+    assert boundary_span(g, d) == streamed
     if d >= g - 1:
         report = verify_rank_theorem(g, 2 * g - 3 - d)
         assert (report["rank_boundary"], report["rank_stacked"]) == streamed[1:]
@@ -379,7 +375,7 @@ def test_boundary_span_matches_streamed_rows():
     # test_exact_rank_matches_references_on_full_boundary_matrices builds
     for d in range(0, 16):
         pure, decorated = map(list, boundary_rows(9, d))
-        _assert_span_matches(9, d, pure + decorated, exact_rank(pure, decorated, _kappa_rows(9, d)))
+        _assert_span_matches(9, d, exact_rank(pure, decorated, _kappa_rows(9, d)))
 
 
 def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
@@ -414,22 +410,20 @@ def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
             raise AssertionError("no corrupted vertex row raised the rank at (%d, %d)" % (g, d))
 
 
-def test_rank_cell_leaves_the_shared_span_unchanged():
-    # the rank cell continues from the memoized echelon without mutating it,
-    # so a housing cell read after it reports what a cleared memo does; the
-    # r = 0 cell (d = 2g-3, no boundary stratum) asks for no span at all
+def test_housing_and_rank_cells_read_one_span_entry():
+    # the r = 0 cell (d = 2g-3, no boundary stratum) stacks one kappa row on
+    # an empty span; a rank cell, a housing cell and the rank cell again,
+    # reading one memo entry, report what each does from a cleared memo
     boundary_span.cache_clear()
     top = [verify_rank_theorem(g, 0) for g in range(2, 9)]
-    assert boundary_span.cache_info().currsize == 0
     assert top == [{"rank_stacked": 1, "rank_boundary": 0, "rank_smooth": 1, "ok": True}] * 7
+    assert [boundary_span(g, 2 * g - 3) for g in range(2, 9)] == [(0, 0, 1)] * 7
     cells = [(g, r) for g in range(3, 8) for r in range(1, g - 1)]
     warm = []
     for g, r in cells:
         d = 2 * g - 3 - r
-        before = boundary_span(g, d)
         warm.append((verify_rank_theorem(g, r), verify_housing_theorem(g, d),
                      verify_rank_theorem(g, r)))
-        assert boundary_span(g, d) == before
     cold = []
     for g, r in cells:
         d = 2 * g - 3 - r
@@ -542,9 +536,8 @@ def test_boundary_rows_shape():
 
 
 def test_kappa_row_values():
-    row = kappa_row((1,), 2)
-    assert row.values == (9, 61)
-    assert kappa_row((), 1).values == (1,)
+    assert stratum_row(((2, (1,), ()),)) == (9, 61)
+    assert stratum_row(((1, (), ()),)) == (1,)
 
 
 def test_smooth_and_eta_matrices():
