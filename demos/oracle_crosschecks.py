@@ -3,10 +3,12 @@ Brute-force oracles
 ===================
 
 Every closed-form count in the package has an independent brute-force
-twin that enumerates words and checks conditions literally.  The
-oracles import nothing from the formula modules, so agreement is
-meaningful evidence, not circularity.  Each one refuses inputs beyond
-its symbol budget instead of silently taking hours.
+twin that counts words under conditions stated literally, one path
+through the (placed set, last symbol) states per word.  The oracles
+import nothing from the formula modules, so agreement is meaningful
+evidence, not circularity.  Each one refuses inputs beyond its symbol
+budget, and any budget above 16 symbols, instead of silently taking
+hours.
 """
 
 from soclerank import (
@@ -31,6 +33,12 @@ for sigma, tau in (((1, 1), ()), ((2, 1), ()), ((1,), (1, 1))):
         "  sigma=%r tau=%r: formula=%d oracle=%d"
         % (sigma, tau, theta(sigma, tau), count_lemma_tool(sigma, tau))
     )
+# one instance of 14 symbols, over 10^9 words, with the budget raised
+sigma, tau = (1, 1, 1), (2, 1, 1, 1, 1, 1, 1)
+print(
+    "  sigma=%r tau=%r (14 symbols): formula=%d oracle=%d"
+    % (sigma, tau, theta(sigma, tau), count_lemma_tool(sigma, tau, max_symbols=14))
+)
 
 # the oracle also certifies that the count ignores the chosen total
 # order on the kappa indices
@@ -72,3 +80,7 @@ try:
     count_lemma_tool((6, 5), (4,))
 except ValueError as exc:
     print("budget guard:", exc)
+try:
+    count_lemma_tool((1,), max_symbols=17)
+except ValueError as exc:
+    print("ceiling:", exc)

@@ -1,34 +1,35 @@
-"""Brute-force word-counting oracles.
+"""Word-counting oracles.
 
-Each count here re-derives, by exhaustive enumeration over words, a
-quantity that the formula modules compute in closed form.  The module
-deliberately imports nothing from the rest of the package and applies
-no counting shortcuts, so agreement with the formula path is real
-evidence.  Inputs are hard-bounded by total symbol count; the default
-bound keeps every call at a few seconds.
+Each count here re-derives, as a number of words, a quantity that the
+formula modules compute in closed form.  The module imports nothing
+from the rest of the package and uses no closed form, so agreement
+with the formula path is real evidence.  Inputs are hard-bounded by
+total symbol count, and no bound may exceed ``MAX_SYMBOLS``.
 
 Every oracle is one count of the linear extensions of a poset on
 numbered symbols.  The copies of one kind form a chain, so a multiset
 word is a linear extension of disjoint chains; comb-like kinds keep
 their comb relations.  Every adjacency rule is a set of forbidden
 (previous, next) symbol pairs, and some counts also forbid given
-symbols in the last place.  ``_count`` backtracks over the linear
-extensions (Knuth and Szwarcfiter, "A structured program to generate
-all topological sorting arrangements", IPL 2, 1974): a symbol is placed
-once all its predecessors are placed and the pair it makes with the
-previous symbol is allowed, so no bad prefix is ever extended and each
-counted word is one leaf of the search, visited once.  The search keeps
-only a bitmask of placed symbols and the last symbol; no memo, table or
-word list is kept over its states.
+symbols in the last place.  ``_count`` places a symbol once all its
+predecessors are placed and the pair it makes with the previous symbol
+is allowed, so each counted word is one path through the states
+(placed set, last symbol), where the placed set is an order ideal of
+the poset.  The rules read nothing else of a prefix, so the count
+sweeps the states once, symbol by symbol, each holding the number of
+valid prefixes that reach it.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 DEFAULT_MAX_SYMBOLS = 10
+MAX_SYMBOLS = 16
 
 
 def _check_bound(n, max_symbols):
+    if max_symbols > MAX_SYMBOLS:
+        raise ValueError("max_symbols is at most %d" % MAX_SYMBOLS)
     if n > max_symbols:
         raise ValueError(
             "oracle instance needs %d symbols, bound is %d" % (n, max_symbols)
@@ -58,24 +59,27 @@ def _mask(symbols):
 def _count(preds, bad, no_last=0):
     """Words placing every symbol s after the symbols of the bitmask
     `preds[s]`, with no symbol b right after a symbol a whose `bad[a]`
-    has bit b, and no symbol of the bitmask `no_last` in the last place."""
+    has bit b, and no symbol of the bitmask `no_last` in the last place.
+    Those rules read only the placed set and the last symbol of a prefix,
+    so `ways` counts the valid prefixes of each (placed, last) state."""
     full = (1 << len(preds)) - 1
     bad = bad + [0]  # the empty prefix, last = -1, forbids nothing
-
-    def extend(placed, last):
-        if placed == full:
-            return 0 if last >= 0 and no_last >> last & 1 else 1
-        total = 0
-        free = full & ~placed & ~bad[last]
-        while free:
-            bit = free & -free
-            free ^= bit
-            s = bit.bit_length() - 1
-            if preds[s] & placed == preds[s]:
-                total += extend(placed | bit, s)
-        return total
-
-    return extend(0, -1)
+    ways = {(0, -1): 1}
+    for _ in preds:
+        step = {}
+        for (placed, last), n in ways.items():
+            free = full & ~placed & ~bad[last]
+            while free:
+                bit = free & -free
+                free ^= bit
+                s = bit.bit_length() - 1
+                if preds[s] & placed == preds[s]:
+                    key = placed | bit, s
+                    step[key] = step.get(key, 0) + n
+        ways = step
+    return sum(
+        n for (_, last), n in ways.items() if last < 0 or not no_last >> last & 1
+    )
 
 
 def count_lemma_tool(sigma, tau=(), order=None, max_symbols=DEFAULT_MAX_SYMBOLS):

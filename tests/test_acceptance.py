@@ -84,19 +84,19 @@ def test_criterion_3_theta_word_oracle(capsys):
     for pinned, expected in (((1, 1), 5), ((2, 1), 9), ((1, 1, 1), 61)):
         if not theta(pinned) == count_lemma_tool(pinned) == expected:
             failures.append(("pinned", pinned, expected))
-    for s in range(0, 10):
+    for s in range(0, 12):
         for sigma in enumerate_partitions(s):
             base = s + len(sigma)
-            if base > 9:
+            if base > 11:
                 continue
-            for t in range(0, 10 - base):
+            for t in range(0, 12 - base):
                 for tau in enumerate_partitions(t):
                     expected = theta(sigma, tau)
-                    if count_lemma_tool(sigma, tau) != expected:
+                    if count_lemma_tool(sigma, tau, max_symbols=11) != expected:
                         failures.append((sigma, tau, None))
                     if 2 <= len(sigma) <= 3:
                         for order in permutations(range(len(sigma))):
-                            if count_lemma_tool(sigma, tau, order) != expected:
+                            if count_lemma_tool(sigma, tau, order, 11) != expected:
                                 failures.append((sigma, tau, order))
     _report(capsys, 3, "theta equals the adjacency word count", failures)
 
@@ -110,14 +110,14 @@ def test_criterion_4_main_claim_oracle(capsys):
         or count_main_claim((1, 1), (1,)) != 16
     ):
         failures.append(("pinned", (1, 1), 16))
-    for ls in range(0, 9):
+    for ls in range(0, 11):
         for lam in enumerate_partitions(ls):
             base = ls + len(lam)
-            if base > 8:
+            if base > 10:
                 continue
-            for ts in range(0, 9 - base):
+            for ts in range(0, 11 - base):
                 for tau in enumerate_partitions(ts):
-                    left = 8 - base - ts - len(tau)
+                    left = 10 - base - ts - len(tau)
                     if left < 0:
                         continue
                     for rs in range(0, left + 1):
@@ -209,31 +209,31 @@ def test_criterion_7_vanishing(capsys):
 
 def test_criterion_8_remaining_oracles(capsys):
     failures = []
-    for n in range(0, 6):
+    for n in range(0, 8):
         for pi in enumerate_partitions(n):
-            if 2 * n + len(pi) <= 11:
-                if count_comb_linear_extensions(pi, max_symbols=11) != comb_count(pi):
+            if 2 * n + len(pi) <= 15:
+                if count_comb_linear_extensions(pi, max_symbols=15) != comb_count(pi):
                     failures.append(("comb", pi))
-    for s in range(0, 5):
+    for s in range(0, 8):
         for sigma in enumerate_partitions(s):
-            for r in range(0, 5):
+            for r in range(0, 8 - s):
                 if len(sigma) > r + 1:
                     continue
                 g = s + 2 + r
                 for tau in enumerate_partitions(r):
                     cost = 2 * (s + r) + len(sigma) + len(tau) + 1
-                    if cost > 11:
+                    if cost > 15:
                         continue
-                    oracle = count_a4(sigma, tau, r, max_symbols=11)
+                    oracle = count_a4(sigma, tau, r, max_symbols=15)
                     if oracle != eta_dprime_form(sigma, g, r)(tau):
                         failures.append(("a4", sigma, tau, r))
-    for s in range(0, 5):
+    for s in range(0, 8):
         for sigma in enumerate_partitions(s):
-            for t in range(0, 5 - s):
+            for t in range(0, 8 - s):
                 for tau in enumerate_partitions(t):
                     cost = 2 * (s + t) + len(sigma) + len(tau) + 1
-                    if cost > 11:
+                    if cost > 15:
                         continue
-                    if count_b2(sigma, tau, max_symbols=11) != mu_dprime(sigma, tau):
+                    if count_b2(sigma, tau, max_symbols=15) != mu_dprime(sigma, tau):
                         failures.append(("b2", sigma, tau))
     _report(capsys, 8, "comb, injection and star oracles match", failures)

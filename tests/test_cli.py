@@ -147,6 +147,16 @@ def test_oracle_budget_error(capsys):
     assert err.startswith("error:")
 
 
+def test_oracle_max_symbols_ceiling(capsys):
+    # the bound itself is refused, even for a 2-symbol instance
+    code, out, err = run(
+        capsys, ["oracle", "lemma-tool", "--sigma", "[1]", "--max-symbols", "17"]
+    )
+    assert (code, out, err) == (2, "", "error: max_symbols is at most 16\n")
+    ok = run(capsys, ["oracle", "lemma-tool", "--sigma", "[1]", "--max-symbols", "16"])
+    assert ok == (0, "1\n", "")
+
+
 def test_verify_housing_json(capsys):
     code, out, _ = run(
         capsys, ["verify", "housing", "--g", "3", "--d", "1", "--format", "json"]

@@ -1,7 +1,9 @@
 """The word oracles against the permutation filters they replace, and
 against the closed forms they re-derive.
 
-The backtracking counters of ``soclerank.oracles`` are compared exactly
+The counters of ``soclerank.oracles`` count each word as one path
+through the (placed set, last symbol) states of a prefix, which is all
+their adjacency and last-place rules read.  They are compared exactly
 with the slow reference below, which enumerates every word (every
 multiset arrangement or every permutation) and filters it, on every
 instance of at most 8 symbols.  Each oracle is then checked against its
@@ -20,6 +22,7 @@ from soclerank.coeffs import c_coefficient, eta_dprime_form, eta_prime_form
 from soclerank.exact import comb_count, multinomial
 from soclerank.oracles import (
     DEFAULT_MAX_SYMBOLS,
+    MAX_SYMBOLS,
     count_a1,
     count_a4,
     count_b2,
@@ -327,6 +330,20 @@ def test_lemma_tool_matches_theta_sample():
 def test_lemma_tool_bound():
     with pytest.raises(ValueError):
         count_lemma_tool((5, 4), (3, 3), max_symbols=9)
+
+
+def test_every_oracle_refuses_a_bound_above_the_ceiling():
+    for counter, args in (
+        (count_lemma_tool, ((1,),)),
+        (count_main_claim, ((1,),)),
+        (count_comb_linear_extensions, ((1,),)),
+        (count_a1, ((1,),)),
+        (count_a4, ((1,), (), 0)),
+        (count_b2, ((1,),)),
+    ):
+        assert counter(*args, max_symbols=MAX_SYMBOLS) >= 0
+        with pytest.raises(ValueError, match="at most %d" % MAX_SYMBOLS):
+            counter(*args, max_symbols=MAX_SYMBOLS + 1)
 
 
 def test_lemma_tool_rejects_non_permutation_order():
