@@ -22,7 +22,6 @@ from .partitions import (
     enumerate_partitions,
     enumerate_refining_functions,
     enumerate_set_partitions,
-    merge,
     merge_sum,
     partition,
 )

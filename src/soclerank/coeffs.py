@@ -266,20 +266,18 @@ def _eta_dprime(sigma, g, r):
     return LinearForm(r, tuple(vals))
 
 
-def block_factor(block, sigma):
+def block_factor(block):
     """Orderings of the comb symbols of the parts in ``block``, end marker included.
 
-    Value (2*s + b + 1)! / prod (2*sigma_j+1)!! over j in the block,
-    where s is the block sum and b the block size; always a positive
-    integer, being (2*s + b + 1) times the comb count of the block.
+    Value (2*s + b + 1)! / prod (2*v + 1)!! over the part values v of the
+    block, where s is the block sum and b the block size; always a
+    positive integer, being (2*s + b + 1) times the comb count of the block.
     """
     block = tuple(block)
     if not block:
         raise ValueError("block must be nonempty")
-    sigma = tuple(sigma)
-    s = sum(sigma[j] for j in block)
-    return factorial(2 * s + len(block) + 1) // prod(double_factorial(2 * sigma[j] + 1)
-                                                     for j in block)
+    return factorial(2 * sum(block) + len(block) + 1) // prod(double_factorial(2 * v + 1)
+                                                              for v in block)
 
 
 def verify_triangular_identity(sigma, g, r):
@@ -292,8 +290,7 @@ def verify_triangular_identity(sigma, g, r):
     sigma = partition(sigma)
     _check_sigma(sigma, g, r)
     for i, tau in enumerate(enumerate_partitions(r)):
-        rhs = merge_sum(sigma, lambda b: block_factor(b, sigma),
-                        lambda merged: _eta_dprime(merged, g, r).values[i])
+        rhs = merge_sum(sigma, block_factor, lambda merged: _eta_dprime(merged, g, r).values[i])
         if mu_dprime(sigma, tau) != rhs:
             return False
     return True

@@ -122,7 +122,8 @@ def count_main_claim(lam, tau=(), rho=(), max_symbols=DEFAULT_MAX_SYMBOLS):
       (2) no last copy of an l-kind is immediately followed by any
           copy of any l-kind.
     The result is the exact average over all orders ranking every
-    t-kind below every l-kind.
+    t-kind below every l-kind.  Kinds of equal size are interchangeable,
+    so one order per distinct sequence of kind sizes is counted.
     """
     lam, tau, rho = tuple(lam), tuple(tau), tuple(rho)
     n = sum(lam) + len(lam) + sum(tau) + len(tau) + sum(rho)
@@ -134,8 +135,8 @@ def count_main_claim(lam, tau=(), rho=(), max_symbols=DEFAULT_MAX_SYMBOLS):
         _chain(preds, v)
     l_symbols = _mask(s for kind in l_kinds for s in kind)
     total = orders = 0
-    for perm_t in permutations(t_kinds):
-        for perm_l in permutations(l_kinds):
+    for perm_t in _size_orders(t_kinds):
+        for perm_l in _size_orders(l_kinds):
             ranked = perm_t + perm_l
             bad = [0] * len(preds)
             for kind in l_kinds:
@@ -146,6 +147,13 @@ def count_main_claim(lam, tau=(), rho=(), max_symbols=DEFAULT_MAX_SYMBOLS):
             total += _count(preds, bad)
             orders += 1
     return Fraction(total, orders)
+
+
+def _size_orders(kinds):
+    # each sequence stands for the same prod(m_v!) orders, all with one count
+    for sizes in sorted(set(permutations(map(len, kinds)))):
+        pool = {n: [k for k in kinds if len(k) == n] for n in set(sizes)}
+        yield tuple(pool[n].pop() for n in sizes)
 
 
 def count_comb_linear_extensions(pi, max_symbols=DEFAULT_MAX_SYMBOLS):

@@ -17,9 +17,10 @@ enumeration.  ``position`` inverts the canonical order of P(n), and
 ``unions`` tabulates, for every pair in P(m) x P(n), the index of their
 multiset union in P(m + n) with its labeled multiplicity: a sum over
 refining maps is a product of such unions, one per target part.
+``merge_sum``, the one sum over coarsenings, reads ``coarsenings``, the
+same dynamic program keyed by the merged partition.
 ``enumerate_set_partitions`` and ``enumerate_refining_functions`` stay
-as the slow references the tests compare against; ``merge_sum``, built
-on the former, is the one sum over coarsenings.
+as the slow references the tests compare against.
 """
 
 from functools import lru_cache
@@ -297,37 +298,40 @@ def _left(kinds, taken):
 
 
 def merge_sum(parts, weight, value):
-    """Sum over the coarsenings of ``parts``, one per set partition of its indices.
+    """Sum of ``value`` at each coarsening of ``parts`` times its ``coarsenings`` weight.
 
-    A set partition ``blocks`` of ``range(len(parts))`` contributes
-    ``value(merge(parts, blocks))`` times the product of ``weight(block)``
-    over its blocks.  This is the slow reference that the inclusion-
-    exclusion identities between the mu variants, the phi transforms
-    and the block-factor identity share.
+    ``value`` is called once per distinct coarsening.  The mu reassembly,
+    the phi transforms and the block-factor identity share this sum.
     """
-    parts = tuple(parts)
-    total = 0
-    for blocks in enumerate_set_partitions(range(len(parts))):
-        term = value(merge(parts, blocks))
-        if term:
-            for b in blocks:
-                term *= weight(b)
-            total += term
-    return total
+    return sum(w * value(m) for m, w in coarsenings(partition(parts), weight))
+
+
+@lru_cache(maxsize=None)
+def coarsenings(parts, weight):
+    """The (coarsening, weight) pairs summed over the set partitions of ``parts``.
+
+    A set partition adds the product of ``weight`` over its blocks, each
+    given by its values, to the partition of its block sums.  The block of
+    one largest part takes any pick of the rest, as in ``_free``.
+    """
+    if not parts:
+        return (((), 1),)
+    kinds = _kinds((parts,))
+    rest = ((0, parts[0], kinds[0][2] - 1),) + kinds[1:]
+    totals = {}
+    for taken, ways in _picks(rest, [inf]):
+        block = _block(kinds, (taken[0] + 1,) + taken[1:])
+        scale = ways * weight(block)
+        left = _block(rest, [n - c for (_, _, n), c in zip(rest, taken)])
+        for merged, w in coarsenings(left, weight):
+            key = partition(merged + (sum(block),))
+            totals[key] = totals.get(key, 0) + scale * w
+    return tuple(totals.items())
 
 
 def merge_sign(block):
     """The inclusion-exclusion weight (-1)^(|B|-1) of a merged block."""
     return -1 if len(block) % 2 == 0 else 1
-
-
-def merge(sigma, blocks):
-    """Coarsen ``sigma`` along a set partition of its index set."""
-    sigma = tuple(sigma)
-    seen = sorted(i for b in blocks for i in b)
-    if seen != list(range(len(sigma))):
-        raise ValueError("blocks must partition the index set of sigma")
-    return partition(sum(sigma[i] for i in b) for b in blocks)
 
 
 def automorphism_count(lam):

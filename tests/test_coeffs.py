@@ -220,11 +220,11 @@ def test_eta_dprime_integral_on_grid():
 
 
 def test_block_factor_values():
-    assert block_factor((0,), (0,)) == 2
-    assert block_factor((0,), (1,)) == 8
-    assert block_factor((0, 1), (0, 0)) == 6
+    assert block_factor((0,)) == 2
+    assert block_factor((1,)) == 8
+    assert block_factor((0, 0)) == 6
     with pytest.raises(ValueError):
-        block_factor((), (1,))
+        block_factor(())
 
 
 def test_triangular_identity_spots():

@@ -26,13 +26,13 @@ from soclerank.partitions import (
     enumerate_partitions,
     enumerate_refining_functions,
     enumerate_set_partitions,
-    merge_sum,
     partition,
     set_partition_totals,
     unions,
 )
 from soclerank.socle import mu, mu_dprime, mu_prime, theta
 from soclerank.strata import enumerate_boundary_generators
+from test_partitions import merge_sum_reference
 
 
 def restrict(sigma, indices):
@@ -89,7 +89,7 @@ def _chain_single(lam, kap, psi):
     def coarser(merged):
         return 0 if len(merged) == len(lam) else _chain_single(merged, kap, psi)
 
-    step = merge_sum(lam, lambda b: theta(restrict(lam, b)), coarser)
+    step = merge_sum_reference(lam, theta, coarser)
     return theta(partition(lam + kap), psi) - step
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from soclerank import oracles
 from soclerank.coeffs import c_coefficient, eta_dprime_form, eta_prime_form
 from soclerank.exact import comb_count, multinomial
 from soclerank.oracles import (
@@ -360,6 +361,36 @@ def test_main_claim_pinned_values():
     assert count_main_claim((1, 1), (1,)) == 16
     value = count_main_claim((2, 1), (1,))
     assert isinstance(value, Fraction) and value.denominator == 1 and value >= 0
+
+
+def _count_main_claim_all_orders(lam, tau=(), rho=()):
+    # the average over every order of the kinds, one count each, against
+    # which count_main_claim's one order per sequence of kind sizes is checked
+    preds = []
+    l_kinds = [oracles._chain(preds, v + 1) for v in lam]
+    t_kinds = [oracles._chain(preds, v + 1) for v in tau]
+    for v in rho:
+        oracles._chain(preds, v)
+    l_symbols = oracles._mask(s for kind in l_kinds for s in kind)
+    counts = []
+    for perm_t in permutations(t_kinds):
+        for perm_l in permutations(l_kinds):
+            ranked = perm_t + perm_l
+            bad = [0] * len(preds)
+            for kind in l_kinds:
+                bad[kind[-1]] = l_symbols
+            for pos, a in enumerate(ranked):
+                for b in ranked[:pos]:
+                    bad[a[-1]] |= 1 << b[0]
+            counts.append(oracles._count(preds, bad))
+    return Fraction(sum(counts), len(counts))
+
+
+def test_main_claim_size_orders_match_all_orders():
+    instances = [args for fast, _, args in _instances(9) if fast is count_main_claim]
+    assert len(instances) > 500
+    for args in instances:
+        assert count_main_claim(*args, max_symbols=9) == _count_main_claim_all_orders(*args), args
 
 
 def test_main_claim_matches_coefficient():

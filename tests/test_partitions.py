@@ -6,12 +6,12 @@ from math import factorial, prod
 import pytest
 
 from soclerank import partitions, socle
+from soclerank.coeffs import _cycle_weight, block_factor
 from soclerank.partitions import (
     automorphism_count,
     enumerate_partitions,
     enumerate_refining_functions,
     enumerate_set_partitions,
-    merge,
     merge_sign,
     merge_sum,
     partition,
@@ -19,6 +19,36 @@ from soclerank.partitions import (
     shared_work,
     unions,
 )
+from soclerank.socle import theta
+
+
+# Slow reference: the sum over coarsenings, one term per set partition.
+
+
+def merge(sigma, blocks):
+    """Coarsen ``sigma`` along a set partition of its index set."""
+    sigma = tuple(sigma)
+    seen = sorted(i for b in blocks for i in b)
+    if seen != list(range(len(sigma))):
+        raise ValueError("blocks must partition the index set of sigma")
+    return partition(sum(sigma[i] for i in b) for b in blocks)
+
+
+def merge_sum_reference(parts, weight, value):
+    """``merge_sum`` by listing every set partition of the indices of ``parts``."""
+    parts = tuple(parts)
+    total = 0
+    for blocks in enumerate_set_partitions(range(len(parts))):
+        term = value(merge(parts, blocks))
+        if term:
+            for b in blocks:
+                term *= weight(partition(parts[i] for i in b))
+            total += term
+    return total
+
+
+def _unit(block):
+    return 1
 
 
 def test_partition_canonicalizes():
@@ -79,15 +109,28 @@ def test_merge_sum_counts():
     for n in range(0, 8):
         parts = tuple(range(n, 0, -1))
         # unit weights count the set partitions, (|B|-1)! the permutations by cycles
-        assert merge_sum(parts, lambda b: 1, lambda merged: 1) == bell[n]
-        assert merge_sum(parts, lambda b: factorial(len(b) - 1), lambda merged: 1) == factorial(n)
+        assert merge_sum(parts, _unit, lambda merged: 1) == bell[n]
+        assert merge_sum(parts, _cycle_weight, lambda merged: 1) == factorial(n)
         if n:
             # only the one-block partition reaches the one-part partition
             assert merge_sum(parts, merge_sign,
                              lambda merged: int(merged == (sum(parts),))) == (-1) ** (n - 1)
+    # called once per distinct coarsening; two set partitions reach (3, 1)
     seen = []
-    merge_sum((2, 1, 1), lambda b: 1, lambda merged: seen.append(merged) or 0)
-    assert sorted(seen) == [(2, 1, 1), (2, 2), (3, 1), (3, 1), (4,)]
+    merge_sum((2, 1, 1), _unit, lambda merged: seen.append(merged) or 0)
+    assert sorted(seen) == [(2, 1, 1), (2, 2), (3, 1), (4,)]
+    assert merge_sum((2, 1, 1), _unit, lambda merged: int(merged == (3, 1))) == 2
+
+
+def test_merge_sum_matches_set_partition_enumeration():
+    # a distinct prime per merged partition keeps the coarsenings apart
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    for n in range(0, 9):
+        prime = dict(zip(enumerate_partitions(n), primes)).__getitem__
+        for parts in enumerate_partitions(n):
+            for weight in (_unit, merge_sign, _cycle_weight, block_factor, theta):
+                assert merge_sum(parts, weight, prime) == \
+                    merge_sum_reference(parts, weight, prime), (parts, weight.__name__)
 
 
 def test_position_inverts_the_enumeration():
