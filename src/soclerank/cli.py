@@ -12,14 +12,13 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from fractions import Fraction
+from multiprocessing import Pool
 
 from . import oracles
 from .coeffs import c_coefficient
 from .exact import format_scalar
-from .ranks import betti_report, verify_housing_theorem, verify_rank_theorem
+from .ranks import MAX_GENUS, betti_report, verify_housing_theorem, verify_rank_theorem
 from .socle import mu, mu_dprime, mu_prime, theta
 from .strata import enumerate_pure_housing_partitions, reduced_data
 
@@ -198,13 +197,8 @@ def _parser():
         for i, flag in enumerate(flags):
             # --order and --r default to None, optional partitions to ()
             kind = {"order": _order_arg, "r": int}.get(flag, _partition_arg)
-            q.add_argument(
-                "--" + flag,
-                dest=_dest(flag),
-                type=kind,
-                required=i == 0,
-                default=() if i and kind is _partition_arg else None,
-            )
+            q.add_argument("--" + flag, dest=_dest(flag), type=kind, required=i == 0,
+                           default=() if i and kind is _partition_arg else None)
         q.add_argument("--max-symbols", type=int, default=oracles.DEFAULT_MAX_SYMBOLS)
 
     p = sub.add_parser("verify", help="theorem verification")
@@ -286,9 +280,7 @@ def _cmd_oracle(args):
 
 
 def _check(kind, g, d, r):
-    if kind == "housing":
-        return verify_housing_theorem(g, d)
-    return verify_rank_theorem(g, r)
+    return verify_housing_theorem(g, d) if kind == "housing" else verify_rank_theorem(g, r)
 
 
 def _cmd_verify(args):
@@ -302,22 +294,32 @@ def _verify_cell(cell):
     return {"check": kind, "g": g, "d": d, "r": r} | _check(kind, g, d, r)
 
 
+def _verify_cells(cells):
+    # one pool task: every cell of one (g, d), so that they share its span memo
+    return {cell: _verify_cell(cell) for cell in cells}
+
+
 def _cmd_verify_all(args):
     if args.max_g < 2:
         raise ValueError("--max-g must be at least 2")
+    if args.max_g > MAX_GENUS:
+        raise ValueError("--max-g %d exceeds the verifier cap %d" % (args.max_g, MAX_GENUS))
     if args.jobs is not None and args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    cells = []
+    cells, pairs = [], {}
     for g in range(2, args.max_g + 1):
         cells += [("housing", g, d, 2 * g - 3 - d) for d in range(0, 2 * g - 3)]
         cells += [("rank", g, 2 * g - 3 - r, r) for r in range(0, g - 1)]
-    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        # both maps yield in grid order, so a row prints once its cell and
-        # every cell before it are done
-        results = (pool.map if pool else map)(_verify_cell, cells)
-        ok = _emit(args.format, results, VERIFY_ALL_FIELDS, _pairs)
-    return 0 if ok else 1
+    for cell in cells:
+        pairs.setdefault(cell[1:3], []).append(cell)
+    jobs = min(args.jobs or os.cpu_count() or 1, len(pairs))
+    if jobs == 1:
+        return 0 if _emit(args.format, map(_verify_cell, cells), VERIFY_ALL_FIELDS, _pairs) else 1
+    with Pool(jobs) as pool:
+        # tasks go out in grid order; a row prints once all rows up to it are done
+        tasks = {pair: pool.apply_async(_verify_cells, (group,)) for pair, group in pairs.items()}
+        rows = (tasks[cell[1:3]].get()[cell] for cell in cells)
+        return 0 if _emit(args.format, rows, VERIFY_ALL_FIELDS, _pairs) else 1
 
 
 def _cmd_report_betti(args):

@@ -18,6 +18,11 @@ from .partitions import enumerate_partitions
 from .socle import complementary_degree, mu
 from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition
 
+# Highest genus the verifiers take.  On a 2-vCPU machine the (15, 14) span
+# takes 21 s at 84 MB and the rank check at (15, r = 0) 3 s; past the cap
+# the widths p(2g - 3) run away (p(77) at g = 40).
+MAX_GENUS = 15
+
 
 def exact_rank(rows, *more):
     """Rank over the rationals of int rows, or the ranks of nested row blocks.
@@ -177,6 +182,8 @@ def housing_rank_formula(g, d):
 
 def verify_housing_theorem(g, d):
     """Ranks of the pure and full boundary matrices against the counting formula."""
+    if g > MAX_GENUS:
+        raise ValueError("genus %d exceeds the verifier cap %d" % (g, MAX_GENUS))
     if complementary_degree(g, d) < 1:
         raise ValueError("need 2g-3-d >= 1")
     rank_pure, rank_full, _ = boundary_span(g, d)
@@ -191,6 +198,8 @@ def verify_housing_theorem(g, d):
 
 def verify_rank_theorem(g, r):
     """Additivity of the boundary rank and the smooth rank at d = 2g-3-r."""
+    if g > MAX_GENUS:
+        raise ValueError("genus %d exceeds the verifier cap %d" % (g, MAX_GENUS))
     d = 2 * g - 3 - r
     complementary_degree(g, d)
     if not 0 <= r <= g - 2:

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -381,12 +383,31 @@ def test_verify_all_bad_arguments_exit_two(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def test_verify_all_pool_no_larger_than_grid(capsys, monkeypatch):
-    sizes = []
+def fake_pool(monkeypatch):
+    """Replace the CLI's process pool by an in-process one; return the pools made.
+
+    Each pool records its size and the arguments of every task.  A task
+    runs when it is submitted; like ``AsyncResult.get``, reading its
+    result returns the value or raises what the task raised.
+    """
+    pools = []
+
+    class Result:
+        def __init__(self, func, args):
+            try:
+                self.value, self.error = func(*args), None
+            except Exception as exc:
+                self.value, self.error = None, exc
+
+        def get(self):
+            if self.error:
+                raise self.error
+            return self.value
 
     class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            self.processes, self.tasks = processes, []
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -394,14 +415,82 @@ def test_verify_all_pool_no_larger_than_grid(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, cells):
-            return map(func, cells)
+        def apply_async(self, func, args):
+            self.tasks.append(args)
+            return Result(func, args)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-    # max-g 2 has two cells, one housing and one rank
-    code, _, _ = run(capsys, ["verify", "all", "--max-g", "2", "--jobs", "3"])
+    monkeypatch.setattr(cli, "Pool", Pool)
+    return pools
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rank", "--g", "40", "--r", "0"],
+    ["verify", "housing", "--g", "30", "--d", "29"],
+    ["verify", "rank", "--g", str(cli.MAX_GENUS + 1), "--r", "0"],
+    ["verify", "all", "--max-g", "100", "--jobs", "1"],
+    ["verify", "all", "--max-g", str(cli.MAX_GENUS + 1), "--jobs", "2"],
+])
+def test_verify_genus_cap_exits_two(capsys, monkeypatch, argv):
+    # refused at once, and for verify all before any pool starts
+    pools = fake_pool(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, pools) == (2, "", [])
+    assert len(err.splitlines()) == 1 and str(cli.MAX_GENUS) in err
+
+
+def test_verify_all_pool_no_larger_than_grid(capsys, monkeypatch):
+    pools = fake_pool(monkeypatch)
+    # max-g 3 has seven cells in six (g, d) pairs: (2, 0), (2, 1), (3, 0) ... (3, 3)
+    for jobs in ("3", "8"):
+        code, _, _ = run(capsys, ["verify", "all", "--max-g", "3", "--jobs", jobs])
+        assert code == 0
+    assert [pool.processes for pool in pools] == [3, 6]
+
+
+def test_verify_all_one_task_per_pair(capsys, monkeypatch):
+    pools = fake_pool(monkeypatch)
+    code, out, _ = run(capsys, ["verify", "all", "--max-g", "5", "--jobs", "2", "--format", "json"])
     assert code == 0
-    assert sizes == [2]
+    cells = [(row["check"], row["g"], row["d"], row["r"]) for row in map(json.loads, out.splitlines())]
+    (pool,) = pools
+    groups = [group for (group,) in pool.tasks]
+    pairs = [{cell[1:3] for cell in group} for group in groups]
+    # each task holds the cells of one (g, d), no (g, d) is split over two
+    # tasks, and the tasks go out in grid order
+    assert all(len(pair) == 1 for pair in pairs)
+    assert [pair.pop() for pair in pairs] == list(dict.fromkeys(cell[1:3] for cell in cells))
+    assert sorted(cell for group in groups for cell in group) == sorted(cells)
+    assert sum(len(group) == 2 for group in groups) == 6  # d = g-1 .. 2g-4 for g = 3, 4, 5
+
+
+def test_verify_all_task_error_exits_two(capsys, monkeypatch):
+    fake_pool(monkeypatch)
+
+    def fail(g, r):
+        raise ValueError("no rank at g=%d" % g)
+
+    monkeypatch.setattr(cli, "verify_rank_theorem", fail)
+    code, out, err = run(capsys, ["verify", "all", "--max-g", "3", "--jobs", "2"])
+    assert code == 2
+    assert len(out.splitlines()) == 1  # the housing row before the first rank row
+    assert err == "error: no rank at g=2\n"
+
+
+def test_verify_all_pool_matches_one_process():
+    # cold processes, so the pool's workers compute every span themselves
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "soclerank.cli", "verify", "all", "--max-g", "6",
+             "--jobs", jobs, "--format", "csv"],
+            env=env, capture_output=True, check=True, timeout=120,
+        ).stdout
+        for jobs in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 1 + 40 and b"False" not in outs[0]
 
 
 def test_mu_large_single_part(capsys):
