@@ -3,17 +3,22 @@
 Subcommands cover scalar evaluation (theta, mu), coefficient queries,
 stratum enumeration, the brute-force oracles, the verification grids,
 and the conjectural Betti report.  Output formats: pretty (default),
-json, csv, all written by ``_emit`` one row at a time.  Exit codes:
-0 success, 1 at least one verification report not ok, 2 usage error.
+json, csv, all written by ``_emit`` one row at a time.  With ``--jobs``
+above 1, ``verify all`` forks workers that take its (g, d) pairs from
+one task pipe; it needs ``os.fork``.  Exit codes: 0 success, 1 at least
+one verification report not ok, 2 usage error or a worker that died.
 """
 
 import argparse
 import csv
 import json
 import os
+import pickle
+import selectors
+import signal
 import sys
+from contextlib import closing
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import oracles
 from .coeffs import c_coefficient
@@ -295,8 +300,57 @@ def _verify_cell(cell):
 
 
 def _verify_cells(cells):
-    # one pool task: every cell of one (g, d), so that they share its span memo
-    return {cell: _verify_cell(cell) for cell in cells}
+    # the cells of one (g, d), which share its span memo; an error main reports stands for each
+    try:
+        return {cell: _verify_cell(cell) for cell in cells}
+    except (ValueError, ArithmeticError, RecursionError) as exc:
+        return dict.fromkeys(cells, exc)
+
+
+def _forked(cells, groups, jobs):
+    """Yield each cell's row, in order, from ``jobs`` forked workers, each on its own pipe."""
+    tasks, feed = os.pipe()  # every group index, filled before the forks; a free worker takes one
+    os.write(feed, b"".join(i.to_bytes(2, "big") for i in range(len(groups))))
+    os.close(feed)
+    selector, done = selectors.DefaultSelector(), {}
+    try:
+        for _ in range(jobs):
+            source, out = os.pipe()
+            if (pid := os.fork()) == 0:  # a worker: exits 0 once the task pipe is empty, else 1
+                try:
+                    while index := os.read(tasks, 2):
+                        data = pickle.dumps(_verify_cells(groups[int.from_bytes(index, "big")]))
+                        os.write(out, len(data).to_bytes(8, "big") + data)  # length, then rows
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(out)
+            selector.register(source, selectors.EVENT_READ, (pid, bytearray()))
+        for cell in cells:
+            while cell not in done:
+                for key, _ in selector.select():
+                    pid, buffer = key.data
+                    chunk = os.read(key.fd, 1 << 16)
+                    if not chunk:  # a worker exited: reap it; a failed one ends the run
+                        selector.unregister(key.fd)
+                        os.close(key.fd)
+                        if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                            how = "by signal %d" % -code if code < 0 else "with status %d" % code
+                            raise ChildProcessError("worker %d ended %s" % (pid, how))
+                    buffer += chunk
+                    while len(buffer) >= 8 + (size := int.from_bytes(buffer[:8], "big")):
+                        done |= pickle.loads(buffer[8:8 + size])
+                        del buffer[:8 + size]
+            if isinstance(row := done.pop(cell), Exception):
+                raise row
+            yield row
+    finally:  # on any exit: stop the workers left and reap them
+        os.close(tasks)
+        for key in list(selector.get_map().values()):
+            os.close(key.fd)
+            os.kill(key.data[0], signal.SIGTERM)
+            os.waitpid(key.data[0], 0)
+        selector.close()
 
 
 def _cmd_verify_all(args):
@@ -315,10 +369,9 @@ def _cmd_verify_all(args):
     jobs = min(args.jobs or os.cpu_count() or 1, len(pairs))
     if jobs == 1:
         return 0 if _emit(args.format, map(_verify_cell, cells), VERIFY_ALL_FIELDS, _pairs) else 1
-    with Pool(jobs) as pool:
-        # tasks go out in grid order; a row prints once all rows up to it are done
-        tasks = {pair: pool.apply_async(_verify_cells, (group,)) for pair, group in pairs.items()}
-        rows = (tasks[cell[1:3]].get()[cell] for cell in cells)
+    if not hasattr(os, "fork"):
+        raise ValueError("--jobs above 1 needs os.fork, which this platform lacks")
+    with closing(_forked(cells, list(pairs.values()), jobs)) as rows:  # no worker outlives it
         return 0 if _emit(args.format, rows, VERIFY_ALL_FIELDS, _pairs) else 1
 
 
@@ -331,7 +384,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, ArithmeticError, RecursionError) as exc:
+    except (ValueError, ArithmeticError, RecursionError, ChildProcessError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

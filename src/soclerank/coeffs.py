@@ -9,7 +9,7 @@ transform and the block count factors connect those coefficients to the
 mu integrals from the socle module.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -35,16 +35,15 @@ MAX_DEGREE = 21
 MAX_ROW_WORK, MAX_ROW_PSI = MAX_WORK // 3, 10**6
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(namedtuple("LinearForm", "degree values")):
     """Values of a linear functional on P(degree), in canonical order."""
 
-    degree: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != len(enumerate_partitions(self.degree)):
+    def __new__(cls, degree, values):
+        if len(values) != len(enumerate_partitions(degree)):
             raise ValueError("form must carry one value per partition")
+        return super().__new__(cls, degree, values)
 
     def __call__(self, pi):
         return self.values[position(self.degree)[partition(pi)]]

@@ -16,7 +16,7 @@ by degree multisets and genus assignments, so that they check the
 criterion instead of repeating it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import enumerate_partitions, partition
 from .socle import complementary_degree
@@ -27,43 +27,31 @@ def _min_genus(valence):
     return 2 if valence == 0 else 1 if valence <= 2 else 0
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
+class DecoratedTree(namedtuple("DecoratedTree", "genera edges")):
     """A stable tree with per-vertex genus."""
 
-    genera: tuple
-    edges: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "genera", tuple(self.genera))
-        object.__setattr__(
-            self, "edges", tuple((min(a, b), max(a, b)) for a, b in self.edges)
-        )
+    def __new__(cls, genera, edges=()):
+        self = super().__new__(cls, tuple(genera), tuple((min(a, b), max(a, b)) for a, b in edges))
         if any(g < 0 for g in self.genera):
             raise ValueError("vertex genera must be nonnegative")
         self._check_tree()
         for v in range(len(self.genera)):
             if self.genera[v] < _min_genus(self.valence(v)):
                 raise ValueError("vertex %d violates stability" % v)
+        return self
 
     def _check_tree(self):
         n = len(self.genera)
         if len(self.edges) != n - 1:
             raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
-        reached = {0}
-        frontier = [0]
-        adjacency = {v: [] for v in range(n)}
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError("bad edge (%d, %d)" % (a, b))
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
+        reached = {0}
+        for _ in self.edges:  # each pass reaches a new vertex until the component is done
+            reached |= {v for edge in self.edges if reached.intersection(edge) for v in edge}
         if len(reached) != n:
             raise ValueError("edge set is not connected")
 

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -11,6 +13,7 @@ import time
 import pytest
 
 import soclerank.cli as cli
+from soclerank import DecoratedTree, LinearForm
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -383,44 +386,23 @@ def test_verify_all_bad_arguments_exit_two(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def fake_pool(monkeypatch):
-    """Replace the CLI's process pool by an in-process one; return the pools made.
+def count_forks(monkeypatch):
+    """Wrap ``os.fork``; return the list of worker pids it hands the parent."""
+    forks, fork = [], os.fork
 
-    Each pool records its size and the arguments of every task.  A task
-    runs when it is submitted; like ``AsyncResult.get``, reading its
-    result returns the value or raises what the task raised.
-    """
-    pools = []
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    class Result:
-        def __init__(self, func, args):
-            try:
-                self.value, self.error = func(*args), None
-            except Exception as exc:
-                self.value, self.error = None, exc
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
-        def get(self):
-            if self.error:
-                raise self.error
-            return self.value
 
-    class Pool:
-        def __init__(self, processes):
-            self.processes, self.tasks = processes, []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def apply_async(self, func, args):
-            self.tasks.append(args)
-            return Result(func, args)
-
-    monkeypatch.setattr(cli, "Pool", Pool)
-    return pools
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("argv", [
@@ -431,43 +413,65 @@ def fake_pool(monkeypatch):
     ["verify", "all", "--max-g", str(cli.MAX_GENUS + 1), "--jobs", "2"],
 ])
 def test_verify_genus_cap_exits_two(capsys, monkeypatch, argv):
-    # refused at once, and for verify all before any pool starts
-    pools = fake_pool(monkeypatch)
+    # refused at once, and for verify all before any worker is forked
+    forks = count_forks(monkeypatch)
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1
-    assert (code, out, pools) == (2, "", [])
+    assert (code, out, forks) == (2, "", [])
     assert len(err.splitlines()) == 1 and str(cli.MAX_GENUS) in err
 
 
 def test_verify_all_pool_no_larger_than_grid(capsys, monkeypatch):
-    pools = fake_pool(monkeypatch)
+    forks = count_forks(monkeypatch)
     # max-g 3 has seven cells in six (g, d) pairs: (2, 0), (2, 1), (3, 0) ... (3, 3)
+    counts = []
     for jobs in ("3", "8"):
         code, _, _ = run(capsys, ["verify", "all", "--max-g", "3", "--jobs", jobs])
         assert code == 0
-    assert [pool.processes for pool in pools] == [3, 6]
+        counts.append(len(forks))
+        forks.clear()
+    assert counts == [3, 6]
+    assert_no_child_left()
 
 
-def test_verify_all_one_task_per_pair(capsys, monkeypatch):
-    pools = fake_pool(monkeypatch)
+def test_verify_all_one_task_per_pair(capsys, monkeypatch, tmp_path):
+    # each worker appends its pid and the cells of every task it computes to
+    # one O_APPEND file, one write per task
+    log = tmp_path / "tasks"
+    verify_cells = cli._verify_cells
+
+    def logged(cells):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, (json.dumps([os.getpid(), cells]) + "\n").encode())
+        finally:
+            os.close(fd)
+        return verify_cells(cells)
+
+    monkeypatch.setattr(cli, "_verify_cells", logged)
     code, out, _ = run(capsys, ["verify", "all", "--max-g", "5", "--jobs", "2", "--format", "json"])
     assert code == 0
+    assert_no_child_left()
     cells = [(row["check"], row["g"], row["d"], row["r"]) for row in map(json.loads, out.splitlines())]
-    (pool,) = pools
-    groups = [group for (group,) in pool.tasks]
-    pairs = [{cell[1:3] for cell in group} for group in groups]
+    tasks = [(pid, [tuple(cell) for cell in group])
+             for pid, group in map(json.loads, log.read_text().splitlines())]
+    pairs = [{cell[1:3] for cell in group} for _, group in tasks]
     # each task holds the cells of one (g, d), no (g, d) is split over two
-    # tasks, and the tasks go out in grid order
+    # tasks or computed twice, and each worker takes its tasks in grid order
     assert all(len(pair) == 1 for pair in pairs)
-    assert [pair.pop() for pair in pairs] == list(dict.fromkeys(cell[1:3] for cell in cells))
-    assert sorted(cell for group in groups for cell in group) == sorted(cells)
-    assert sum(len(group) == 2 for group in groups) == 6  # d = g-1 .. 2g-4 for g = 3, 4, 5
+    grid = list(dict.fromkeys(cell[1:3] for cell in cells))
+    assert sorted(grid.index(pair.pop()) for pair in pairs) == list(range(len(grid)))
+    assert sorted(cell for _, group in tasks for cell in group) == sorted(cells)
+    assert sum(len(group) == 2 for _, group in tasks) == 6  # d = g-1 .. 2g-4 for g = 3, 4, 5
+    workers = {pid for pid, _ in tasks}
+    assert os.getpid() not in workers  # the parent computes no cell
+    for worker in workers:
+        order = [grid.index(group[0][1:3]) for pid, group in tasks if pid == worker]
+        assert order == sorted(order)
 
 
 def test_verify_all_task_error_exits_two(capsys, monkeypatch):
-    fake_pool(monkeypatch)
-
     def fail(g, r):
         raise ValueError("no rank at g=%d" % g)
 
@@ -476,10 +480,76 @@ def test_verify_all_task_error_exits_two(capsys, monkeypatch):
     assert code == 2
     assert len(out.splitlines()) == 1  # the housing row before the first rank row
     assert err == "error: no rank at g=2\n"
+    assert_no_child_left()
+
+
+def test_verify_all_dead_worker_exits_two(capsys, monkeypatch):
+    # a worker killed as the OOM killer would do ends the run: exit 2, one
+    # line, the rows before it printed, no worker left behind
+    parent, housing = os.getpid(), cli.verify_housing_theorem
+
+    def die_at_4_3(g, d):
+        if (g, d) == (4, 3) and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return housing(g, d)
+
+    _, everything, _ = run(capsys, ["verify", "all", "--max-g", "5", "--jobs", "1"])
+    monkeypatch.setattr(cli, "verify_housing_theorem", die_at_4_3)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "all", "--max-g", "5", "--jobs", "2"])
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert re.fullmatch(r"error: worker \d+ ended by signal %d\n" % signal.SIGKILL, err)
+    assert everything.startswith(out) and "g=4 d=3 " not in out
+    assert_no_child_left()
+
+
+def test_verify_all_needs_fork_above_one_job(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run(capsys, ["verify", "all", "--max-g", "3", "--jobs", "2"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "os.fork" in err
+    code, out, _ = run(capsys, ["verify", "all", "--max-g", "3", "--jobs", "1"])
+    assert code == 0 and len(out.splitlines()) == 7
+
+
+def test_cli_import_skips_heavy_modules():
+    # what `soclerank` imports at startup: no process pool, no dataclasses
+    # (which pulls in inspect, ast, dis and tokenize), no concurrent.futures
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys, soclerank.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
+             " & {'multiprocessing', 'dataclasses', 'inspect', 'concurrent'}))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("make, args, other, bad, check", [
+    (LinearForm, (2, (3, 7)), (2, (3, 8)), [(2, (3,)), (0, ())],
+     lambda form: form((2,)) == 3 and form((1, 1)) == 7
+     and form.items() == (((2,), 3), ((1, 1), 7))),
+    (DecoratedTree, ((1, 1), [(1, 0)]), ((2,),), [((1, 1),), ((1, 1, 1), ((0, 1), (0, 1))),
+                                                  ((2, 2), ((0, 0),)), ((0,),), ((-1, 3), ((0, 1),))],
+     lambda tree: tree.genera == (1, 1) and tree.edges == ((0, 1),)
+     and tree.genus == 2 and tree.valence(0) == 1),
+], ids=["LinearForm", "DecoratedTree"])
+def test_value_types_keep_their_contract(make, args, other, bad, check):
+    value = make(*args)
+    assert check(value)
+    for wrong in bad:
+        with pytest.raises(ValueError):
+            make(*wrong)
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], args[0])
+    with pytest.raises(AttributeError):
+        value.note = "extra"
+    twin = make(*args)
+    assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert make(*other) != value
 
 
 def test_verify_all_pool_matches_one_process():
-    # cold processes, so the pool's workers compute every span themselves
+    # cold processes, so the forked workers compute every span themselves
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     outs = [
         subprocess.run(
