@@ -5,8 +5,9 @@ stratum enumeration, the brute-force oracles, the verification grids,
 and the conjectural Betti report.  Output formats: pretty (default),
 json, csv, all written by ``_emit`` one row at a time.  With ``--jobs``
 above 1, ``verify all`` forks workers that take its (g, d) pairs from
-one task pipe; it needs ``os.fork``.  Exit codes: 0 success, 1 at least
-one verification report not ok, 2 usage error or a worker that died.
+one task pipe; it needs ``os.fork``, and without it ``--jobs``
+defaults to 1.  Exit codes: 0 success, 1 at least one verification
+report not ok, 2 usage error or a worker that died.
 """
 
 import argparse
@@ -366,7 +367,8 @@ def _cmd_verify_all(args):
         cells += [("rank", g, 2 * g - 3 - r, r) for r in range(0, g - 1)]
     for cell in cells:
         pairs.setdefault(cell[1:3], []).append(cell)
-    jobs = min(args.jobs or os.cpu_count() or 1, len(pairs))
+    # by default the CPU count, or one process where os.fork is missing
+    jobs = min(args.jobs or hasattr(os, "fork") and os.cpu_count() or 1, len(pairs))
     if jobs == 1:
         return 0 if _emit(args.format, map(_verify_cell, cells), VERIFY_ALL_FIELDS, _pairs) else 1
     if not hasattr(os, "fork"):

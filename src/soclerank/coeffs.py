@@ -213,12 +213,15 @@ def _cycle_weight(block):
 
 
 def _check_sigma(sigma, g, r):
+    # the canonical sigma, once it fits the degree r of genus g
+    sigma = partition(sigma)
     if not 0 <= r <= g - 2:
         raise ValueError("need 0 <= r <= g-2")
     if sum(sigma) != g - 2 - r:
         raise ValueError("sigma must have size %d" % (g - 2 - r))
     if len(sigma) > r + 1:
         raise ValueError("sigma may have at most %d parts" % (r + 1))
+    return sigma
 
 
 def eta_form(sigma, g, r):
@@ -228,9 +231,7 @@ def eta_form(sigma, g, r):
     length r+1; the value at tau is the coefficient of that partition in
     the one-vertex row of degree 2g-3-r carrying kappa decoration tau.
     """
-    sigma = partition(sigma)
-    _check_sigma(sigma, g, r)
-    return _eta(sigma, g, r)
+    return _eta(_check_sigma(sigma, g, r), g, r)
 
 
 def _eta(sigma, g, r):
@@ -241,16 +242,12 @@ def _eta(sigma, g, r):
 
 def eta_prime_form(sigma, g, r):
     """The eta row pushed through the phi transform."""
-    sigma = partition(sigma)
-    _check_sigma(sigma, g, r)
-    return phi_transform(_eta(sigma, g, r))
+    return phi_transform(_eta(_check_sigma(sigma, g, r), g, r))
 
 
 def eta_dprime_form(sigma, g, r):
     """eta_prime divided by (r+1-len(sigma))!, checked to stay integral."""
-    sigma = partition(sigma)
-    _check_sigma(sigma, g, r)
-    return _eta_dprime(sigma, g, r)
+    return _eta_dprime(_check_sigma(sigma, g, r), g, r)
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +283,7 @@ def verify_triangular_identity(sigma, g, r):
     over set partitions of the index set of sigma of the product of
     block factors times eta_dprime at the merged sigma.
     """
-    sigma = partition(sigma)
-    _check_sigma(sigma, g, r)
+    sigma = _check_sigma(sigma, g, r)
     for i, tau in enumerate(enumerate_partitions(r)):
         rhs = merge_sum(sigma, block_factor, lambda merged: _eta_dprime(merged, g, r).values[i])
         if mu_dprime(sigma, tau) != rhs:

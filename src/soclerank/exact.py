@@ -7,13 +7,7 @@ with the denominator omitted when it is 1.
 
 import math
 from fractions import Fraction
-
-
-def factorial(n):
-    """n! for nonnegative n."""
-    if n < 0:
-        raise ValueError("factorial of negative integer %d" % n)
-    return math.factorial(n)
+from math import factorial  # re-exported: n!, ValueError for negative n
 
 
 def double_factorial(n):

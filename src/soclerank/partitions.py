@@ -18,7 +18,8 @@ enumeration.  ``position`` inverts the canonical order of P(n), and
 multiset union in P(m + n) with its labeled multiplicity: a sum over
 refining maps is a product of such unions, one per target part.
 ``merge_sum``, the one sum over coarsenings, reads ``coarsenings``, the
-same dynamic program keyed by the merged partition.
+same dynamic program keyed by the merged partition; both take each step's
+block, the one holding a part of the first kind, from ``_blocks``.
 ``enumerate_set_partitions`` and ``enumerate_refining_functions`` stay
 as the slow references the tests compare against.
 """
@@ -237,16 +238,10 @@ def shared_work(multisets, slots, cap=inf):
 def _free(slots, factor, caps, kinds):
     if not kinds:
         return {(0, 0): 1}
-    # the block holding one part of the first kind, with any pick of the rest
-    cls, value, count = kinds[0]
-    rest = ((cls, value, count - 1),) + kinds[1:]
-    room = [inf if c is None else c for c in caps]
-    room[cls] -= 1
     totals = {}
-    for taken, ways in _picks(rest, room):
-        block = _block(kinds, (taken[0] + 1,) + taken[1:])
+    for block, ways, left in _blocks(kinds, caps):
         fill, scale = slots(block), ways * factor(block)
-        for (k, a), inner in _free(slots, factor, caps, _left(rest, taken)).items():
+        for (k, a), inner in _free(slots, factor, caps, left).items():
             key = (k + 1, a + fill)
             totals[key] = totals.get(key, 0) + scale * comb(a + fill, fill) * inner
     return totals
@@ -261,40 +256,30 @@ def _kinds(classes):
     )
 
 
-def _picks(kinds, room):
-    """Every sub-multiset of ``kinds`` with its number of labeled choices.
+def _blocks(kinds, caps):
+    """Each block holding one part of the first kind, as (values, ways, kinds left).
 
-    Returns (count taken per kind, product of binomials) pairs.  ``room``
-    caps per class how many parts the pick may take.
+    The block takes any pick of the other parts, at most ``caps[c]`` of
+    class c (None for no limit); values is the partition of its parts,
+    ways the labeled choices of the pick.
     """
-    out = []
-    taken = [0] * len(kinds)
+    (cls, value, count), others = kinds[0], kinds[1:]
+    rest = ((cls, value, count - 1),) + others  # what may join the block's first part
+    room = [inf if c is None else c for c in caps]
+    room[cls] -= 1
 
-    def rec(i, ways):
-        if i == len(kinds):
-            out.append((tuple(taken), ways))
+    def walk(i, values, ways, left):
+        if i == len(rest):
+            yield tuple(sorted(values, reverse=True)), ways, left
             return
-        cls, value, count = kinds[i]
-        for c in range(min(count, room[cls]) + 1):
-            taken[i] = c
-            room[cls] -= c
-            rec(i + 1, ways * comb(count, c))
-            room[cls] += c
-        taken[i] = 0
+        k, v, n = rest[i]
+        for c in range(min(n, room[k]) + 1):
+            room[k] -= c
+            yield from walk(i + 1, values + (v,) * c, ways * comb(n, c),
+                            left + ((k, v, n - c),) * (n > c))
+            room[k] += c
 
-    rec(0, 1)
-    return out
-
-
-def _block(kinds, taken):
-    values = []
-    for (_, value, _), c in zip(kinds, taken):
-        values += [value] * c
-    return tuple(sorted(values, reverse=True))
-
-
-def _left(kinds, taken):
-    return tuple((cls, v, n - c) for (cls, v, n), c in zip(kinds, taken) if n > c)
+    return walk(0, (value,), 1, ())
 
 
 def merge_sum(parts, weight, value):
@@ -312,18 +297,14 @@ def coarsenings(parts, weight):
 
     A set partition adds the product of ``weight`` over its blocks, each
     given by its values, to the partition of its block sums.  The block of
-    one largest part takes any pick of the rest, as in ``_free``.
+    one largest part takes any pick of the rest, from ``_blocks``.
     """
     if not parts:
         return (((), 1),)
-    kinds = _kinds((parts,))
-    rest = ((0, parts[0], kinds[0][2] - 1),) + kinds[1:]
     totals = {}
-    for taken, ways in _picks(rest, [inf]):
-        block = _block(kinds, (taken[0] + 1,) + taken[1:])
-        scale = ways * weight(block)
-        left = _block(rest, [n - c for (_, _, n), c in zip(rest, taken)])
-        for merged, w in coarsenings(left, weight):
+    for block, ways, left in _blocks(_kinds((parts,)), (None,)):
+        scale, rest = ways * weight(block), tuple(v for _, v, n in left for _ in range(n))
+        for merged, w in coarsenings(rest, weight):
             key = partition(merged + (sum(block),))
             totals[key] = totals.get(key, 0) + scale * w
     return tuple(totals.items())

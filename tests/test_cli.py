@@ -511,6 +511,10 @@ def test_verify_all_needs_fork_above_one_job(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "os.fork" in err
     code, out, _ = run(capsys, ["verify", "all", "--max-g", "3", "--jobs", "1"])
     assert code == 0 and len(out.splitlines()) == 7
+    # with no --jobs, a multi-CPU platform without os.fork runs in one process
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code, out, _ = run(capsys, ["verify", "all", "--max-g", "3"])
+    assert code == 0 and len(out.splitlines()) == 7
 
 
 def test_cli_import_skips_heavy_modules():

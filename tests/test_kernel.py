@@ -173,25 +173,50 @@ def _unit(block):
     return 1
 
 
+def _value_slots(block):
+    return sum(block) + 1
+
+
+# a distinct prime for each block partition of size at most 12
+_PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+_BLOCK_PRIMES = dict(zip((b for n in range(1, 13) for b in enumerate_partitions(n)), _PRIMES))
+
+
+def _block_prime(block):
+    return _BLOCK_PRIMES[block]
+
+
 def test_set_partition_totals_counts_set_partitions():
-    # with no slots and unit factors the totals count set partitions by size
+    # with no slots and unit factors the totals count set partitions by size;
+    # slots and factors read from the block values check which blocks form
     for n in range(0, 9):
         totals = set_partition_totals(((1,) * n,), _no_slots, _unit)
         assert totals == {(k, 0): _stirling2(n, k) for k in range(0, n + 1)
                           if _stirling2(n, k)}
     for sigma in ((3, 2, 2, 1), (2, 2, 2), (4, 1, 1, 1, 1)):
         for tau in ((), (1,), (2, 1, 1)):
-            for caps in ((None, None), (None, 1), (1, 1)):
+            for caps in ((None, None), (None, 1), (1, 1), (2, None), (2, 2)):
                 ground = range(len(sigma) + len(tau))
                 sigma_idx = range(len(sigma))
                 tau_idx = range(len(sigma), len(ground))
-                expected = Counter(
-                    (len(blocks), 0)
-                    for blocks in enumerate_set_partitions(ground)
-                    if (caps[0] is None or separates(blocks, sigma_idx))
-                    and (caps[1] is None or separates(blocks, tau_idx))
-                )
+                kept = [blocks for blocks in enumerate_set_partitions(ground)
+                        if _within(blocks, sigma_idx, caps[0]) and _within(blocks, tau_idx, caps[1])]
+                expected = Counter((len(blocks), 0) for blocks in kept)
                 assert set_partition_totals((sigma, tau), _no_slots, _unit, caps) == expected
+                weighted = Counter()
+                for blocks in kept:
+                    values = [restrict(sigma + tau, b) for b in blocks]
+                    fills = [_value_slots(v) for v in values]
+                    weight = multinomial(sum(fills), fills)
+                    for v in values:
+                        weight *= _block_prime(v)
+                    weighted[len(blocks), sum(fills)] += weight
+                assert set_partition_totals((sigma, tau), _value_slots, _block_prime, caps) == weighted
+
+
+def _within(blocks, subset, cap):
+    # no block holds more than ``cap`` elements of ``subset``; None is no cap
+    return cap is None or all(len(set(subset).intersection(b)) <= cap for b in blocks)
 
 
 def _union_counts(target):
