@@ -2,12 +2,13 @@
 
 Subcommands cover scalar evaluation (theta, mu), coefficient queries,
 stratum enumeration, the brute-force oracles, the verification grids,
-and the conjectural Betti report.  Output formats: pretty (default),
-json, csv, all written by ``_emit`` one row at a time.  With ``--jobs``
-above 1, ``verify all`` forks workers that take its (g, d) pairs from
-one task pipe; it needs ``os.fork``, and without it ``--jobs``
-defaults to 1.  Exit codes: 0 success, 1 at least one verification
-report not ok, 2 usage error or a worker that died.
+and the conjectural Betti report.  Each returns its rows, which ``main``
+writes through ``_emit`` as pretty (default), json or csv.  With
+``--jobs`` above 1, ``verify all`` forks workers that take its (g, d)
+pairs from one task pipe; it needs ``os.fork``, and without it
+``--jobs`` defaults to 1.  Exit codes: 0 success, 1 a verification
+report not ok, 2 a usage error, a refused input or a worker that died,
+141 (128 + SIGPIPE) a stdout closed before the last row.
 """
 
 import argparse
@@ -18,7 +19,6 @@ import pickle
 import selectors
 import signal
 import sys
-from contextlib import closing
 from fractions import Fraction
 
 from . import oracles
@@ -29,6 +29,7 @@ from .socle import mu, mu_dprime, mu_prime, theta
 from .strata import enumerate_pure_housing_partitions, reduced_data
 
 FORMATS = ("pretty", "json", "csv")
+REPORTED = (ValueError, ArithmeticError, RecursionError, ChildProcessError)  # exit 2
 VERIFY_ALL_FIELDS = ["check", "g", "d", "r", "rank_pure", "rank_full", "formula",
                      "rank_stacked", "rank_boundary", "rank_smooth", "ok"]
 BETTI_FIELDS = ["status", "g", "e", "d", "ambient_rank",
@@ -45,11 +46,18 @@ ORACLES = {
 }
 
 
-def _partition_arg(text):
+def _loads(text, expected):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError:
-        raise argparse.ArgumentTypeError("expected a JSON list such as [3,1]")
+        raise argparse.ArgumentTypeError("expected " + expected)
+
+
+def _partition_arg(text):
+    return _partition(_loads(text, "a JSON list such as [3,1]"))
+
+
+def _partition(data):
     if not isinstance(data, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in data
     ):
@@ -61,22 +69,14 @@ def _partition_arg(text):
 
 
 def _partition_list_arg(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise argparse.ArgumentTypeError("expected a JSON list of lists")
-    if isinstance(data, list) and all(isinstance(x, int) for x in data):
-        data = [data]
+    data = _loads(text, "a JSON list of lists")
     if not isinstance(data, list):
         raise argparse.ArgumentTypeError("expected a JSON list of lists")
-    return tuple(_partition_arg(json.dumps(item)) for item in data)
+    return tuple(map(_partition, [data] if all(isinstance(x, int) for x in data) else data))
 
 
 def _order_arg(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise argparse.ArgumentTypeError("expected a JSON list of indices")
+    data = _loads(text, "a JSON list of indices")
     if not isinstance(data, list) or sorted(data) != list(range(len(data))):
         raise argparse.ArgumentTypeError("expected a permutation of 0..n-1")
     return tuple(data)
@@ -113,16 +113,16 @@ def _emit(fmt, rows, fields, pretty):
     one per entry of the row's nested ``rows`` list when it has one.
     Integers print in full, past Python's int-to-str digit limit.  No
     row is kept once written; a row without an ``ok`` entry counts as ok.
+    A generator of rows is closed on any exit, which stops its workers.
     """
     # the int-to-str digit limit came with Python 3.10.7; 0 means no limit
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
-    writer = csv.DictWriter(sys.stdout, fields)
-    if fmt == "csv":
-        writer.writeheader()
-    ok = True
+    writer, ok = csv.DictWriter(sys.stdout, fields), True
     try:
+        if fmt == "csv":
+            writer.writeheader()
         for row in rows:
             if fmt == "json":
                 print(_encode(row))
@@ -134,6 +134,8 @@ def _emit(fmt, rows, fields, pretty):
             sys.stdout.flush()
             ok = ok and bool(row.get("ok", True))
     finally:
+        if hasattr(rows, "close"):
+            rows.close()
         if limit:
             sys.set_int_max_str_digits(limit)
     return ok
@@ -170,18 +172,18 @@ def _parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theta", parents=[common], help="compact-type evaluation")
-    p.set_defaults(run=_cmd_theta)
+    p.set_defaults(run=_cmd_theta, pretty=_value)
     p.add_argument("--sigma", type=_partition_arg, required=True)
     p.add_argument("--tau", type=_partition_arg, default=())
 
     p = sub.add_parser("mu", parents=[common], help="smooth-locus evaluation")
-    p.set_defaults(run=_cmd_mu)
+    p.set_defaults(run=_cmd_mu, pretty=_value)
     p.add_argument("--sigma", type=_partition_arg, required=True)
     p.add_argument("--tau", type=_partition_arg, default=())
     p.add_argument("--variant", choices=("plain", "prime", "dprime"), default="plain")
 
     p = sub.add_parser("coeff", parents=[common], help="expansion coefficient")
-    p.set_defaults(run=_cmd_coeff)
+    p.set_defaults(run=_cmd_coeff, pretty=_coeff_lines)
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--gamma", type=_partition_arg, required=True)
     p.add_argument("--kappa", type=_partition_list_arg, default=None)
@@ -190,7 +192,7 @@ def _parser():
     p = sub.add_parser("strata", help="stratum enumeration")
     strata_sub = p.add_subparsers(dest="strata_command", required=True)
     q = strata_sub.add_parser("enumerate", parents=[common])
-    q.set_defaults(run=_cmd_strata)
+    q.set_defaults(run=_cmd_strata, pretty=json.dumps)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--pure", action="store_true")
@@ -199,7 +201,7 @@ def _parser():
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     for name, (_, flags) in ORACLES.items():
         q = oracle_sub.add_parser(name, parents=[common])
-        q.set_defaults(run=_cmd_oracle)
+        q.set_defaults(run=_cmd_oracle, pretty=_value)
         for i, flag in enumerate(flags):
             # --order and --r default to None, optional partitions to ()
             kind = {"order": _order_arg, "r": int}.get(flag, _partition_arg)
@@ -210,22 +212,22 @@ def _parser():
     p = sub.add_parser("verify", help="theorem verification")
     verify_sub = p.add_subparsers(dest="verify_command", required=True)
     q = verify_sub.add_parser("housing", parents=[common])
-    q.set_defaults(run=_cmd_verify)
+    q.set_defaults(run=_cmd_verify, pretty=_pairs)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q = verify_sub.add_parser("rank", parents=[common])
-    q.set_defaults(run=_cmd_verify)
+    q.set_defaults(run=_cmd_verify, pretty=_pairs)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--r", type=int, required=True)
     q = verify_sub.add_parser("all", parents=[common])
-    q.set_defaults(run=_cmd_verify_all)
+    q.set_defaults(run=_cmd_verify_all, pretty=_pairs)
     q.add_argument("--max-g", type=int, default=5)
     q.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("report", help="summary reports")
     report_sub = p.add_subparsers(dest="report_command", required=True)
     q = report_sub.add_parser("betti", parents=[common])
-    q.set_defaults(run=_cmd_report_betti)
+    q.set_defaults(run=_cmd_report_betti, pretty=_betti_lines)
     q.add_argument("--g", type=int, required=True)
 
     return top
@@ -233,16 +235,14 @@ def _parser():
 
 def _cmd_theta(args):
     row = {"sigma": args.sigma, "tau": args.tau, "value": theta(args.sigma, args.tau)}
-    _emit(args.format, [row], list(row), _value)
-    return 0
+    return [row], list(row)
 
 
 def _cmd_mu(args):
     func = {"plain": mu, "prime": mu_prime, "dprime": mu_dprime}[args.variant]
     row = {"sigma": args.sigma, "tau": args.tau, "variant": args.variant}
     row["value"] = func(args.sigma, args.tau)
-    _emit(args.format, [row], list(row), _value)
-    return 0
+    return [row], list(row)
 
 
 def _cmd_coeff(args):
@@ -258,22 +258,20 @@ def _cmd_coeff(args):
             pass
     row = {"lambda": args.lam, "gamma": args.gamma, "kappa": kappas, "psi": psis,
            "coefficient": value, "oracle": oracle}
-    _emit(args.format, [row], list(row), _coeff_lines)
-    return 0
+    return [row], list(row)
 
 
 def _cmd_strata(args):
+    if args.g > MAX_GENUS:
+        raise ValueError("genus %d exceeds the listing cap %d" % (args.g, MAX_GENUS))
     if args.pure:
-        strata = [
-            [(m, (), ()) for m in sigma]
-            for sigma in sorted(enumerate_pure_housing_partitions(args.g, args.d))
-        ]
+        strata = ([(m, (), ()) for m in sigma]
+                  for sigma in sorted(enumerate_pure_housing_partitions(args.g, args.d)))
     else:
         strata = reduced_data(args.g, args.d)  # printed as the search finds them
     # per-vertex (remainder, kappa, psi) triples, read as three columns
     fields = ["gamma", "kappa", "psi"]
-    _emit(args.format, (dict(zip(fields, zip(*data))) for data in strata), fields, json.dumps)
-    return 0
+    return (dict(zip(fields, zip(*data))) for data in strata), fields
 
 
 def _cmd_oracle(args):
@@ -281,8 +279,7 @@ def _cmd_oracle(args):
     values = [getattr(args, _dest(flag)) for flag in flags]
     row = {"oracle": args.oracle_command} | dict(zip(flags, values))
     row["value"] = counter(*values, args.max_symbols)
-    _emit(args.format, [row], list(row), _value)
-    return 0
+    return [row], list(row)
 
 
 def _check(kind, g, d, r):
@@ -291,8 +288,7 @@ def _check(kind, g, d, r):
 
 def _cmd_verify(args):
     report = _check(args.verify_command, args.g, vars(args).get("d"), vars(args).get("r"))
-    _emit(args.format, [report], list(report), _pairs)
-    return 0 if report["ok"] else 1
+    return [report], list(report)
 
 
 def _verify_cell(cell):
@@ -304,7 +300,7 @@ def _verify_cells(cells):
     # the cells of one (g, d), which share its span memo; an error main reports stands for each
     try:
         return {cell: _verify_cell(cell) for cell in cells}
-    except (ValueError, ArithmeticError, RecursionError) as exc:
+    except REPORTED as exc:
         return dict.fromkeys(cells, exc)
 
 
@@ -369,26 +365,26 @@ def _cmd_verify_all(args):
         pairs.setdefault(cell[1:3], []).append(cell)
     # by default the CPU count, or one process where os.fork is missing
     jobs = min(args.jobs or hasattr(os, "fork") and os.cpu_count() or 1, len(pairs))
-    if jobs == 1:
-        return 0 if _emit(args.format, map(_verify_cell, cells), VERIFY_ALL_FIELDS, _pairs) else 1
-    if not hasattr(os, "fork"):
+    if jobs > 1 and not hasattr(os, "fork"):
         raise ValueError("--jobs above 1 needs os.fork, which this platform lacks")
-    with closing(_forked(cells, list(pairs.values()), jobs)) as rows:  # no worker outlives it
-        return 0 if _emit(args.format, rows, VERIFY_ALL_FIELDS, _pairs) else 1
+    rows = _forked(cells, list(pairs.values()), jobs) if jobs > 1 else map(_verify_cell, cells)
+    return rows, VERIFY_ALL_FIELDS
 
 
 def _cmd_report_betti(args):
-    _emit(args.format, [betti_report(args.g)], BETTI_FIELDS, _betti_lines)
-    return 0
+    return [betti_report(args.g)], BETTI_FIELDS
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
-    except (ValueError, ArithmeticError, RecursionError, ChildProcessError) as exc:
+        return 0 if _emit(args.format, *args.run(args), args.pretty) else 1
+    except REPORTED as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed early: no more output, and no flush error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, written out as Windows has no signal.SIGPIPE
 
 
 if __name__ == "__main__":

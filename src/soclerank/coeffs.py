@@ -231,18 +231,14 @@ def eta_form(sigma, g, r):
     length r+1; the value at tau is the coefficient of that partition in
     the one-vertex row of degree 2g-3-r carrying kappa decoration tau.
     """
-    return _eta(_check_sigma(sigma, g, r), g, r)
-
-
-def _eta(sigma, g, r):
-    d = 2 * g - 3 - r
+    sigma, d = _check_sigma(sigma, g, r), 2 * g - 3 - r
     lam = partition(tuple(2 * s + 1 for s in sigma) + (1,) * (r + 1 - len(sigma)))
     return tabulate(r, lambda tau: _expansion(((d, tau, ()),), d)[lam])
 
 
 def eta_prime_form(sigma, g, r):
     """The eta row pushed through the phi transform."""
-    return phi_transform(_eta(_check_sigma(sigma, g, r), g, r))
+    return phi_transform(eta_form(sigma, g, r))
 
 
 def eta_dprime_form(sigma, g, r):
@@ -254,7 +250,7 @@ def eta_dprime_form(sigma, g, r):
 def _eta_dprime(sigma, g, r):
     k = factorial(r + 1 - len(sigma))
     vals = []
-    for v in phi_transform(_eta(sigma, g, r)).values:
+    for v in eta_prime_form(sigma, g, r).values:
         q, rem = divmod(v, k)
         if rem:
             raise ArithmeticError("eta_prime value %r not divisible by %d" % (v, k))

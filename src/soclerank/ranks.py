@@ -18,10 +18,15 @@ from .partitions import enumerate_partitions
 from .socle import complementary_degree, mu
 from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition
 
-# Highest genus the verifiers take.  On a 2-vCPU machine the (15, 14) span
-# takes 21 s at 84 MB and the rank check at (15, r = 0) 3 s; past the cap
-# the widths p(2g - 3) run away (p(77) at g = 40).
+# Highest genus the verifiers and the stratum listing take.  On a 2-vCPU
+# machine the (15, 14) span takes 15 s at 81 MB and the rank check at
+# (15, r = 0) 1.5 s; past the cap the widths p(2g - 3) run away (p(77)
+# at g = 40).
 MAX_GENUS = 15
+# Highest genus ``betti_report`` takes; its cost grows about as g^3.  On a
+# 2-vCPU machine the whole command took 0.6-0.9 s at g = 250, 1.0-1.5 s
+# at 300 and 3.2 s at 400.
+MAX_BETTI_GENUS = 250
 
 
 def exact_rank(rows, *more):
@@ -247,6 +252,8 @@ def betti_report(g):
     5, 8, 11, ...), the conjectured boundary defect delta_d = 0, and
     their difference.  Nothing here is proved by this package.
     """
+    if g > MAX_BETTI_GENUS:
+        raise ValueError("genus %d exceeds the report cap %d" % (g, MAX_BETTI_GENUS))
     complementary_degree(g, g - 1)  # the report's lowest degree
     rows = []
     for e in range(0, g - 1):

@@ -14,6 +14,7 @@ import pytest
 
 import soclerank.cli as cli
 from soclerank import DecoratedTree, LinearForm
+from soclerank.ranks import MAX_BETTI_GENUS
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -411,9 +412,12 @@ def assert_no_child_left():
     ["verify", "rank", "--g", str(cli.MAX_GENUS + 1), "--r", "0"],
     ["verify", "all", "--max-g", "100", "--jobs", "1"],
     ["verify", "all", "--max-g", str(cli.MAX_GENUS + 1), "--jobs", "2"],
+    ["strata", "enumerate", "--g", "40", "--d", "39", "--format", "csv"],
+    ["strata", "enumerate", "--g", "40", "--d", "39", "--pure"],
 ])
 def test_verify_genus_cap_exits_two(capsys, monkeypatch, argv):
-    # refused at once, and for verify all before any worker is forked
+    # refused at once, before any output (a csv header included), and for
+    # verify all before any worker is forked
     forks = count_forks(monkeypatch)
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
@@ -653,3 +657,40 @@ def test_report_betti_large_genus(capsys):
     lines = out.splitlines()
     assert lines[0] == "CONJECTURAL kernel report, g=60"
     assert len(lines) == 60  # one row per excess e = 0..58
+
+
+def test_report_betti_genus_cap(capsys):
+    # the report costs about g^3: past the cap it is refused at once, and
+    # the cap itself still answers, one csv line per excess plus the header
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["report", "betti", "--g", "100000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: genus 100000 exceeds the report cap %d\n" % MAX_BETTI_GENUS
+    code, out, err = run(capsys, ["report", "betti", "--g", str(MAX_BETTI_GENUS), "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == MAX_BETTI_GENUS
+
+
+@pytest.mark.parametrize("argv", [
+    ["strata", "enumerate", "--g", "9", "--d", "8", "--format", "csv"],
+    ["verify", "all", "--max-g", "10", "--jobs", "2", "--format", "csv"],
+], ids=["strata-319-KB", "verify-all-two-workers"])
+def test_closed_stdout_exits_quietly(argv):
+    # the reader takes one line and closes the pipe while rows are still to
+    # come (319 KB of strata, or seconds of cells): exit 141 (128 + SIGPIPE),
+    # nothing on stderr, and no process of the command's session left
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "soclerank.cli"] + argv, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (141, b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
