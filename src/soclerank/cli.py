@@ -77,7 +77,8 @@ def _partition_list_arg(text):
 
 def _order_arg(text):
     data = _loads(text, "a JSON list of indices")
-    if not isinstance(data, list) or sorted(data) != list(range(len(data))):
+    if not (isinstance(data, list) and all(type(x) is int for x in data)
+            and sorted(data) == list(range(len(data)))):
         raise argparse.ArgumentTypeError("expected a permutation of 0..n-1")
     return tuple(data)
 

@@ -17,11 +17,11 @@ from .exact import double_factorial, factorial
 from .partitions import (
     MAX_WORK,
     automorphism_count,
+    coarsenings,
     enumerate_partitions,
     merge_sign,
     merge_sum,
     partition,
-    position,
     unions,
 )
 from .socle import mu_dprime, shared_theta_work, theta
@@ -46,7 +46,7 @@ class LinearForm(namedtuple("LinearForm", "degree values")):
         return super().__new__(cls, degree, values)
 
     def __call__(self, pi):
-        return self.values[position(self.degree)[partition(pi)]]
+        return self.values[enumerate_partitions(self.degree).index(partition(pi))]
 
     def items(self):
         return tuple(zip(enumerate_partitions(self.degree), self.values))
@@ -63,14 +63,8 @@ def m_form(lam):
     # set partition of pi with block sums lam
     lam = partition(lam)
     aut = automorphism_count(lam)
-    row = pure_row(lam)
-    return LinearForm(row.degree, tuple(x // aut for x in row.values))
-
-
-def pure_row(lam):
-    """Pairing row of the pure stratum of lam: one undecorated vertex per part."""
-    lam = partition(lam)
-    return LinearForm(sum(lam), stratum_row(tuple((part, (), ()) for part in lam)))
+    row = stratum_row(tuple((part, (), ()) for part in lam))
+    return LinearForm(sum(lam), tuple(x // aut for x in row))
 
 
 @lru_cache(maxsize=None)
@@ -243,12 +237,7 @@ def eta_prime_form(sigma, g, r):
 
 def eta_dprime_form(sigma, g, r):
     """eta_prime divided by (r+1-len(sigma))!, checked to stay integral."""
-    return _eta_dprime(_check_sigma(sigma, g, r), g, r)
-
-
-@lru_cache(maxsize=None)
-def _eta_dprime(sigma, g, r):
-    k = factorial(r + 1 - len(sigma))
+    k = factorial(r + 1 - len(_check_sigma(sigma, g, r)))
     vals = []
     for v in eta_prime_form(sigma, g, r).values:
         q, rem = divmod(v, k)
@@ -277,11 +266,11 @@ def verify_triangular_identity(sigma, g, r):
 
     For every tau of size r, mu_dprime(sigma, tau) must equal the sum
     over set partitions of the index set of sigma of the product of
-    block factors times eta_dprime at the merged sigma.
+    block factors times eta_dprime at the merged sigma.  Each distinct
+    merged sigma's eta_dprime row is built once, before the first tau.
     """
     sigma = _check_sigma(sigma, g, r)
-    for i, tau in enumerate(enumerate_partitions(r)):
-        rhs = merge_sum(sigma, block_factor, lambda merged: _eta_dprime(merged, g, r).values[i])
-        if mu_dprime(sigma, tau) != rhs:
-            return False
-    return True
+    terms = [(w, eta_dprime_form(merged, g, r).values)
+             for merged, w in coarsenings(sigma, block_factor)]
+    return all(mu_dprime(sigma, tau) == sum(w * row[i] for w, row in terms)
+               for i, tau in enumerate(enumerate_partitions(r)))

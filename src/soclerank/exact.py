@@ -56,8 +56,12 @@ def partition_count(n, sizes):
     """Partitions of n whose parts all lie in ``sizes`` (distinct positive ints).
 
     Zero for negative n, one for n = 0.  Partitions into at most L parts
-    are counted with sizes range(1, L + 1), by conjugation.
+    are counted with sizes range(1, L + 1), by conjugation.  Sizes that
+    are not distinct positive ints raise ValueError.
     """
+    sizes = tuple(sizes)
+    if len(set(sizes)) < len(sizes) or any(type(p) is not int or p <= 0 for p in sizes):
+        raise ValueError("part sizes must be distinct positive integers, got %r" % (sizes,))
     if n < 0:
         return 0
     counts = [1] + [0] * n

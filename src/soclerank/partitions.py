@@ -13,13 +13,12 @@ target part equals the sum of the source parts mapped onto it.
 a summand that depends only on block contents is the same for parts of
 equal value, so one dynamic program over part multiplicities (the
 exponential formula for multiset partitions) replaces the Bell-number
-enumeration.  ``position`` inverts the canonical order of P(n), and
-``unions`` tabulates, for every pair in P(m) x P(n), the index of their
-multiset union in P(m + n) with its labeled multiplicity: a sum over
-refining maps is a product of such unions, one per target part.
-``merge_sum``, the one sum over coarsenings, reads ``coarsenings``, the
-same dynamic program keyed by the merged partition; both take each step's
-block, the one holding a part of the first kind, from ``_blocks``.
+enumeration.  ``unions`` tabulates, for every pair in P(m) x P(n), the
+index of their multiset union in P(m + n) with its labeled multiplicity:
+a sum over refining maps is a product of such unions, one per target part.
+``merge_sum`` sums over ``coarsenings``, the same dynamic program keyed
+by the merged partition; both take each step's block, the one holding
+a part of the first kind, from ``_blocks``.
 ``enumerate_set_partitions`` and ``enumerate_refining_functions`` stay
 as the slow references the tests compare against.
 """
@@ -79,12 +78,6 @@ def _generate(n, largest, length_bound):
 
 
 @lru_cache(maxsize=None)
-def position(n):
-    """The inverse of ``enumerate_partitions(n)``: each partition's index."""
-    return {p: i for i, p in enumerate(enumerate_partitions(n))}
-
-
-@lru_cache(maxsize=None)
 def unions(m, n):
     """The multiset unions of P(m) and P(n) as (index, ways) pairs, row s, entry t.
 
@@ -93,7 +86,7 @@ def unions(m, n):
     C(c_v(s) + c_v(t), c_v(s)), the labeled choices of positions of the
     union that take s.
     """
-    index = position(m + n)
+    index = {p: i for i, p in enumerate(enumerate_partitions(m + n))}
     return tuple(tuple((index[partition(s + t)], prod(comb(s.count(v) + t.count(v), s.count(v))
                                                       for v in set(s)))
                        for t in enumerate_partitions(n))
@@ -285,8 +278,8 @@ def _blocks(kinds, caps):
 def merge_sum(parts, weight, value):
     """Sum of ``value`` at each coarsening of ``parts`` times its ``coarsenings`` weight.
 
-    ``value`` is called once per distinct coarsening.  The mu reassembly,
-    the phi transforms and the block-factor identity share this sum.
+    ``value`` is called once per distinct coarsening.  The mu reassembly
+    and the phi transforms share this sum.
     """
     return sum(w * value(m) for m, w in coarsenings(partition(parts), weight))
 

@@ -13,7 +13,7 @@ from itertools import chain
 from math import gcd
 
 from .coeffs import eta_form, product, stratum_row
-from .exact import fz_count, partition_count
+from .exact import fz_count
 from .partitions import enumerate_partitions
 from .socle import complementary_degree, mu
 from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition
@@ -23,9 +23,9 @@ from .strata import _triples, enumerate_pure_housing_partitions, is_housing_part
 # (15, r = 0) 1.5 s; past the cap the widths p(2g - 3) run away (p(77)
 # at g = 40).
 MAX_GENUS = 15
-# Highest genus ``betti_report`` takes; its cost grows about as g^3.  On a
-# 2-vCPU machine the whole command took 0.6-0.9 s at g = 250, 1.0-1.5 s
-# at 300 and 3.2 s at 400.
+# Highest genus ``betti_report`` takes.  One table of p(n, parts <= k) holds
+# its ambient ranks; on a 2-vCPU machine the report of g = 250 takes 0.02 s
+# in process and the whole command 0.21-0.26 s, 0.17-0.22 s at g = 2.
 MAX_BETTI_GENUS = 250
 
 
@@ -103,7 +103,8 @@ def boundary_span(g, d):
     2g-4-d)`` with m <= top whose costs fit and each b in
     S(n - m, room - cost, spare - excess, m), with S(0, ...) = [(1,)].
     At d = 2g-3 no triple fits the budgets (1, -1), so the ranks are
-    (0, 0, rank of the kappa rows).
+    (0, 0, rank of the kappa rows).  A genus above ``MAX_GENUS`` raises
+    ValueError.
 
     Proof that rank_full is the rank of the rows of all the data.  The
     row of a datum is the product of its one-vertex rows, and
@@ -120,6 +121,8 @@ def boundary_span(g, d):
     remainder first gives the recursion of S, and an echelon spans the
     rows it was given.
     """
+    if g > MAX_GENUS:
+        raise ValueError("genus %d exceeds the verifier cap %d" % (g, MAX_GENUS))
     width, budgets = len(enumerate_partitions(d)), (2 * g - 2 - d, 2 * g - 4 - d)
     pure = {tuple((m, (), ()) for m in sigma)
             for sigma in enumerate_pure_housing_partitions(g, d)} if d < 2 * g - 3 else ()
@@ -187,8 +190,6 @@ def housing_rank_formula(g, d):
 
 def verify_housing_theorem(g, d):
     """Ranks of the pure and full boundary matrices against the counting formula."""
-    if g > MAX_GENUS:
-        raise ValueError("genus %d exceeds the verifier cap %d" % (g, MAX_GENUS))
     if complementary_degree(g, d) < 1:
         raise ValueError("need 2g-3-d >= 1")
     rank_pure, rank_full, _ = boundary_span(g, d)
@@ -203,8 +204,6 @@ def verify_housing_theorem(g, d):
 
 def verify_rank_theorem(g, r):
     """Additivity of the boundary rank and the smooth rank at d = 2g-3-r."""
-    if g > MAX_GENUS:
-        raise ValueError("genus %d exceeds the verifier cap %d" % (g, MAX_GENUS))
     d = 2 * g - 3 - r
     complementary_degree(g, d)
     if not 0 <= r <= g - 2:
@@ -255,15 +254,16 @@ def betti_report(g):
     if g > MAX_BETTI_GENUS:
         raise ValueError("genus %d exceeds the report cap %d" % (g, MAX_BETTI_GENUS))
     complementary_degree(g, g - 1)  # the report's lowest degree
-    rows = []
-    for e in range(0, g - 1):
+    # counts[n] grows to p(n, parts <= k), k = 1 ... g-1; by conjugation the
+    # row of degree d = 2g-2-k, which takes at most k parts, reads counts[d]
+    counts, ambients, rows = [1] + [0] * (2 * g - 3), [], []
+    for k in range(1, g):
+        for n in range(k, 2 * g - 2):
+            counts[n] += counts[n - k]
+        ambients.append(counts[2 * g - 2 - k])
+    for e, ambient in enumerate(reversed(ambients)):
         d = g - 1 + e
-        ambient = partition_count(d, range(1, 2 * g - 1 - d))  # at most 2g-2-d parts
-        if 2 * e <= g - 2:
-            m = 3 * e - g - 1
-        else:
-            m = 3 * (g - 2 - e) - g - 1
-        gamma = fz_count(m)
+        gamma = fz_count(3 * min(e, g - 2 - e) - g - 1)
         rows.append(
             {
                 "e": e,

@@ -261,6 +261,10 @@ def test_usage_errors_exit_two(capsys):
         cli.main(["theta", "--sigma", "[0]"])
     assert info.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as info:  # True == 1, but a bool is no index
+        cli.main(["oracle", "lemma-tool", "--sigma", "[1,1]", "--order", "[true, false]"])
+    assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_domain_errors_exit_two(capsys):

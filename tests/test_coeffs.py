@@ -34,6 +34,8 @@ def test_linear_form_basics():
     assert form.items() == (((2,), 3), ((1, 1), 7))
     with pytest.raises(ValueError):
         LinearForm(2, (3,))
+    with pytest.raises(ValueError):  # a partition of another degree
+        form((3,))
 
 
 def test_m_form_unit_diagonal():
@@ -233,3 +235,24 @@ def test_triangular_identity_spots():
     assert verify_triangular_identity((2,), 4, 0)
     assert verify_triangular_identity((1, 1), 5, 1)
     assert verify_triangular_identity((2, 1), 6, 1)
+
+
+def test_triangular_identity_reads_each_row_once_and_stops_at_a_mismatch(monkeypatch):
+    # one read of the coarsenings per call; a wrong first eta_dprime value
+    # fails at the first tau, and no later tau is compared
+    reads, taus = [], []
+    real_coarsenings, real_eta, real_mu = coeffs.coarsenings, eta_dprime_form, coeffs.mu_dprime
+    monkeypatch.setattr(coeffs, "coarsenings", lambda *a: reads.append(a) or real_coarsenings(*a))
+    monkeypatch.setattr(coeffs, "mu_dprime", lambda s, t: taus.append(t) or real_mu(s, t))
+    assert verify_triangular_identity((2, 1), 7, 2)
+    assert (len(reads), taus) == (1, [(2,), (1, 1)])
+
+    def corrupted(sigma, g, r):
+        values = real_eta(sigma, g, r).values
+        return LinearForm(r, (values[0] + 1,) + values[1:])
+
+    monkeypatch.setattr(coeffs, "eta_dprime_form", corrupted)
+    reads.clear()
+    taus.clear()
+    assert not verify_triangular_identity((2, 1), 7, 2)
+    assert (len(reads), taus) == (1, [(2,)])

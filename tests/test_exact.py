@@ -90,6 +90,16 @@ def test_partition_count_by_length():
             expected = len(enumerate_partitions(n, length))
             assert partition_count(n, range(1, length + 1)) == expected
     assert partition_count(-1, range(1, 4)) == 0
+    assert partition_count(3, filter(None, [2, 1, 3])) == 3  # one-shot sizes, read once
+
+
+@pytest.mark.parametrize("sizes", [[0, 1], [1, 1], [2, 1, 2], [-1, 2], [1.0], [True]])
+def test_partition_count_rejects_bad_sizes(sizes):
+    # sizes must be distinct positive ints, also for a negative n
+    with pytest.raises(ValueError):
+        partition_count(3, sizes)
+    with pytest.raises(ValueError):
+        partition_count(-1, iter(sizes))
 
 
 def test_scalar_round_trip():

@@ -15,7 +15,6 @@ from soclerank.partitions import (
     merge_sign,
     merge_sum,
     partition,
-    position,
     shared_work,
     unions,
 )
@@ -131,13 +130,6 @@ def test_merge_sum_matches_set_partition_enumeration():
             for weight in (_unit, merge_sign, _cycle_weight, block_factor, theta):
                 assert merge_sum(parts, weight, prime) == \
                     merge_sum_reference(parts, weight, prime), (parts, weight.__name__)
-
-
-def test_position_inverts_the_enumeration():
-    for n in range(0, 13):
-        parts = enumerate_partitions(n)
-        assert len(position(n)) == len(parts)
-        assert all(parts[i] == p for p, i in position(n).items())
 
 
 def test_unions_count_the_labeled_subsets():

@@ -1,14 +1,16 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
 from soclerank import coeffs
-from soclerank.coeffs import pure_row, stratum_row, v_form
-from soclerank.exact import partition_count
+from soclerank.coeffs import stratum_row, v_form
+from soclerank.exact import fz_count, partition_count
 from soclerank.partitions import enumerate_partitions
 from soclerank.ranks import (
+    MAX_GENUS,
     _spanning_rows,
     betti_report,
     boundary_span,
@@ -410,6 +412,14 @@ def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
             raise AssertionError("no corrupted vertex row raised the rank at (%d, %d)" % (g, d))
 
 
+def test_boundary_span_refuses_past_the_genus_cap():
+    # the span itself holds the cap, so a direct call refuses at once too
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap %d" % MAX_GENUS):
+        boundary_span(MAX_GENUS + 1, MAX_GENUS)
+    assert time.perf_counter() - start < 1
+
+
 def test_housing_and_rank_cells_read_one_span_entry():
     # the r = 0 cell (d = 2g-3, no boundary stratum) stacks one kappa row on
     # an empty span; a rank cell, a housing cell and the rank cell again,
@@ -502,9 +512,14 @@ def test_rank_theorem_small_grid():
             assert verify_rank_theorem(g, r)["ok"]
 
 
+def pure_stratum_row(lam):
+    """The row of the pure stratum of lam: one undecorated vertex per part."""
+    return stratum_row(tuple((part, (), ()) for part in lam))
+
+
 def housing_m_matrix(g, d):
     """Unnormalized pure-basis rows at the housing partitions of (g, d)."""
-    return [pure_row(lam).values
+    return [pure_stratum_row(lam)
             for lam in enumerate_partitions(d) if is_housing_partition(lam, g, d)]
 
 
@@ -524,7 +539,7 @@ def test_boundary_rows_shape():
     for g, d in ((4, 2), (5, 4), (6, 3)):
         pure, decorated = map(list, boundary_rows(g, d))
         labels = enumerate_pure_housing_partitions(g, d)
-        assert sorted(pure) == sorted(pure_row(sigma).values for sigma in labels)
+        assert sorted(pure) == sorted(pure_stratum_row(sigma) for sigma in labels)
         assert sorted(decorated) == sorted(
             v_form(data, d).values
             for data in enumerate_boundary_generators(g, d)
@@ -578,6 +593,22 @@ def test_betti_report_small():
     ]
     with pytest.raises(ValueError):
         betti_report(1)
+
+
+def test_betti_report_matches_per_row_counts():
+    # the shared table of p(n, parts <= k) against one count of at most
+    # 2g-2-d parts per row, and gamma against fz_count of 3e-g-1 up to the
+    # middle row and of 3(g-2-e)-g-1 past it
+    for g in range(2, 81):
+        expected = []
+        for e in range(0, g - 1):
+            d = g - 1 + e
+            m = 3 * e - g - 1 if 2 * e <= g - 2 else 3 * (g - 2 - e) - g - 1
+            expected.append({"e": e, "d": d,
+                             "ambient_rank": partition_count(d, range(1, 2 * g - 1 - d)),
+                             "gamma_conjectural": fz_count(m), "delta_conjectural": 0,
+                             "kernel_conjectural": fz_count(m)})
+        assert betti_report(g)["rows"] == expected, g
 
 
 def test_betti_report_nonzero_gamma():
