@@ -4,23 +4,23 @@ The verifiers build pairing rows, boundary stratum forms (columns
 indexed by P(d) in canonical order) or socle integrals of the smooth
 locus, and rank nested blocks of them over the rationals in one integer
 echelon each, reporting every number involved so a failing cell is
-diagnosable.  The decorated boundary strata are ranked through products
-of a spanning set of one-vertex rows, not datum by datum.
+diagnosable.  The full boundary rank is certified from the supports of
+a spanning set of one-vertex rows, not ranked datum by datum.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd
 
-from .coeffs import eta_form, product, stratum_row
+from .coeffs import eta_form, m_form, stratum_row
 from .exact import fz_count
 from .partitions import enumerate_partitions
 from .socle import complementary_degree, mu
-from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition
+from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition, reduced_data
 
 # Highest genus the verifiers and the stratum listing take.  On a 2-vCPU
-# machine the (15, 14) span takes 15 s at 81 MB and the rank check at
-# (15, r = 0) 1.5 s; past the cap the widths p(2g - 3) run away (p(77)
+# machine the (15, 14) span takes 9-15 s at 79 MB and the rank check at
+# (15, r = 0) 1.1-1.5 s; past the cap the widths p(2g - 3) run away (p(77)
 # at g = 40).
 MAX_GENUS = 15
 # Highest genus ``betti_report`` takes.  One table of p(n, parts <= k) holds
@@ -94,80 +94,75 @@ def boundary_span(g, d):
 
     Returns (rank_pure, rank_full, rank_stacked).  The rows of the pure
     strata, listed from the trees (none at d = 2g-3), go into one
-    echelon first; then the rows of S(d, 2g-2-d, 2g-4-d, d), which
-    span every boundary row; then the kappa rows pi -> theta(pi + tau)
-    over tau in P(2g-3-d).  S(n, room, spare, top) is an echelon of the
-    rows of the data within the two sums of ``strata.reduced_data``
-    whose remainders sum to n and are at most top: the echelon of
-    product(row, b) over each row of ``_spanning_rows(m, 2g-2-d,
-    2g-4-d)`` with m <= top whose costs fit and each b in
-    S(n - m, room - cost, spare - excess, m), with S(0, ...) = [(1,)].
-    At d = 2g-3 no triple fits the budgets (1, -1), so the ranks are
-    (0, 0, rank of the kappa rows).  A genus above ``MAX_GENUS`` raises
-    ValueError.
+    echelon; when they fall short of the width |P(d)|, ``_supported``
+    certifies that they span the rows of all the data, and otherwise
+    the row of every datum of ``strata.reduced_data`` joins the echelon.
+    The kappa rows pi -> theta(pi + tau) over tau in P(2g-3-d) go last.
+    A degree out of range or a genus above ``MAX_GENUS`` raises ValueError.
 
-    Proof that rank_full is the rank of the rows of all the data.  The
-    row of a datum is the product of its one-vertex rows, and
-    ``product`` is bilinear, commutative and associative, so the row is
-    multilinear in its one-vertex rows, in any vertex order.  The
-    criterion sees a triple only through m and its class (cost, excess),
-    and moving a vertex to a class it dominates only lowers both sums,
-    so a datum stays a datum.  By induction over the classes, cheapest
-    first, every one-vertex row lies in the span of the spanning rows
-    of its class and the classes below it, and each spanning row is a
-    combination of one-vertex rows of such classes; replacing the
-    vertices one at a time, the products of spanning rows that fit span
-    exactly the rows of the data.  Taking the vertex of largest
-    remainder first gives the recursion of S, and an echelon spans the
-    rows it was given.
+    Proof of the certificate.  Let P_a be the row of the pure datum a
+    and W_K(m) the span of the P_a over a in P(m) with len a <= K.
+    ``m_form`` is P_a / aut(a): 1 at a and 0 off the refinements of a,
+    which come later in canonical order, so the P_a are independent and
+    rank_pure is the size of the pure set.  A datum's row is the
+    ``product`` of its one-vertex rows, which is bilinear, commutative
+    and associative, so product(P_a, P_b) = P_(a+b).  Every one-vertex
+    row of cost K = 1 + c lies in W_K(m): the spanning rows of cost at
+    most K span it, each is checked to lie in W_K(m), and K >= m leaves
+    nothing to check.  So a datum's row lies in the span of the P_u,
+    u = a_1 + ... + a_k with len a_i <= 1 + c_i, and u has at most
+    sum (1 + c_i) <= 2g-2-d parts; fewer make u housing.  At equality
+    every a_i has 1 + c_i parts, and the second sum of the criterion,
+    sum (lo_i - 1 + c_i) <= 2g-4-d, forces lo_i = 1, so m_i + c_i even,
+    at two vertices or more; there 1 + c_i odd parts cannot sum to m_i,
+    so u has two even parts and is housing.  Hence rank_full <= |H|,
+    and once the pure set is H the pure rows span every datum's row:
+    rank_pure = rank_full = |H|, and the kappa rows reduce against the
+    pure pivots.
     """
+    complementary_degree(g, d)
     if g > MAX_GENUS:
         raise ValueError("genus %d exceeds the verifier cap %d" % (g, MAX_GENUS))
-    width, budgets = len(enumerate_partitions(d)), (2 * g - 2 - d, 2 * g - 4 - d)
-    pure = {tuple((m, (), ()) for m in sigma)
-            for sigma in enumerate_pure_housing_partitions(g, d)} if d < 2 * g - 3 else ()
-    kept = _echelon((), map(stratum_row, pure), width)
-    tables, states = {}, {}
-
-    def rows(n, room, spare, top):
-        # the products of a spanning row of remainder m <= top with S of the rest
-        for m in range(1, min(top, n) + 1):
-            if m not in tables:
-                tables[m] = _spanning_rows(m, *budgets)
-            for row, cost, excess in tables[m]:
-                if cost <= room and excess <= spare and (room - cost) * m >= n - m:
-                    for _, rest in span(n - m, room - cost, spare - excess, m):
-                        yield product(row, rest, m, n - m)
-
-    def span(n, room, spare, top):
-        if not n:
-            return ((0, (1,)),)
-        key = n, room, spare, min(top, n)
-        if key not in states:
-            states[key] = _echelon((), rows(*key), len(enumerate_partitions(n)))
-        return states[key]
-
-    full = _echelon(kept, rows(d, *budgets, d), width)
+    width = len(enumerate_partitions(d))
+    pure = enumerate_pure_housing_partitions(g, d) if d < 2 * g - 3 else frozenset()
+    kept = _echelon((), (stratum_row(tuple((m, (), ()) for m in s)) for s in pure), width)
+    supported = len(kept) == width or _supported(g, d, pure)
+    full = kept if supported else _echelon(kept, map(stratum_row, reduced_data(g, d)), width)
     kappa = (stratum_row(((d, tau, ()),)) for tau in enumerate_partitions(2 * g - 3 - d))
     return len(kept), len(full), len(_echelon(full, kappa, width))
 
 
-def _spanning_rows(m, room, spare):
-    """Rows spanning the one-vertex rows of remainder m, as (row, cost, excess).
+def _supported(g, d, pure):
+    # the certificate of boundary_span's proof: the pure set is H, and each
+    # spanning row of remainder m and cost K < m leaves nothing once the
+    # m_form of every a in P(m, K), a prefix of P(m), is subtracted in order
+    if pure != {s for s in enumerate_partitions(d) if is_housing_partition(s, g, d)}:
+        return False
+    for m in range(1, d + 1):
+        for row, cost in _spanning_rows(m, 2 * g - 2 - d, 2 * g - 4 - d):
+            row = list(row)
+            for i, alpha in enumerate(enumerate_partitions(m, cost)):
+                if row[i]:
+                    row = [x - row[i] * y for x, y in zip(row, m_form(alpha).values)]
+            if any(row):
+                return False
+    return True
 
-    The triples of ``strata._triples(m, room, spare)`` are grouped by
-    class (cost, excess) = (1 + c, lo - 1 + c), walked in that order.
-    Each class keeps the rows its one-vertex rows add to an echelon of
-    the rows kept in the classes it dominates, its own included.
+
+def _spanning_rows(m, room, spare):
+    """Rows spanning the one-vertex rows of remainder m and cost below m, as (row, cost).
+
+    The rows of the triples of ``strata._triples(m, min(room, m - 1),
+    spare)`` go into one echelon, cheapest cost first, so for every K
+    the rows kept of cost at most K span exactly the one-vertex rows of
+    cost at most K.
     """
-    classes, size, kept = {}, len(enumerate_partitions(m)), []
-    for triple, cost, excess in _triples(m, room, spare):
-        classes.setdefault((cost, excess), []).append(triple)
-    for (cost, excess), triples in sorted(classes.items()):
-        below = _echelon((), (row for row, c, e in kept if c <= cost and e <= excess), size)
-        more = _echelon(below, (stratum_row((t,)) for t in triples), size)
-        kept += [(row, cost, excess) for _, row in more[len(below):]]
-    return kept
+    kept, costs, size = (), [], len(enumerate_partitions(m))
+    triples = sorted(_triples(m, min(room, m - 1), spare), key=lambda t: t[1])
+    for cost, group in groupby(triples, key=lambda t: t[1]):
+        kept = _echelon(kept, (stratum_row((t,)) for t, _, _ in group), size)
+        costs += [cost] * (len(kept) - len(costs))
+    return [(row, cost) for (_, row), cost in zip(kept, costs)]
 
 
 def smooth_matrix(g, r, max_length=None):

@@ -323,8 +323,8 @@ def test_housing_cells_below_g_minus_1_build_no_decorated_row(monkeypatch):
 
 def test_span_reads_one_vertex_rows_only(monkeypatch):
     # on the cells with d >= g-1 the span asks stratum_row for the pure rows
-    # and for one-vertex rows only (the kappa rows among them); every other
-    # row is a product of those
+    # and for one-vertex rows only (the kappa rows among them); the support
+    # certificate builds no product of them
     boundary_span.cache_clear()
     calls = []
 
@@ -340,20 +340,22 @@ def test_span_reads_one_vertex_rows_only(monkeypatch):
     assert decorated and all(len(data) == 1 for data in decorated)
 
 
-def test_spanning_rows_span_each_class_from_below():
-    # what the proof of boundary_span needs of the kept rows: for every
-    # class (cost, excess), the rows kept in the classes it dominates, its
-    # own included, span exactly the one-vertex rows of those classes
+def test_spanning_rows_span_each_cost_prefix():
+    # what the proof of boundary_span needs of the kept rows: for every cost
+    # K below m, the rows kept of cost <= K span exactly the one-vertex rows
+    # of cost <= K; the costs come cheapest first
     tables = {(m, 2 * g - 2 - d, 2 * g - 4 - d)
               for g in range(2, 10) for d in range(1, 2 * g - 3) for m in range(1, d + 1)}
     kept_total = triples_total = 0
     for m, room, spare in sorted(tables):
         kept, triples = _spanning_rows(m, room, spare), _triples(m, room, spare)
-        for cost, excess in {(c, e) for _, c, e in triples}:
-            below = [list(row) for row, c, e in kept if c <= cost and e <= excess]
-            ones = [list(stratum_row((t,))) for t, c, e in triples if c <= cost and e <= excess]
+        assert [c for _, c in kept] == sorted(c for _, c in kept)
+        for cost in range(1, m):
+            below = [list(row) for row, c in kept if c <= cost]
+            ones = [list(stratum_row((t,))) for t, c, _ in triples if c <= cost]
             assert exact_rank(below + ones) == exact_rank(below) == exact_rank(ones)
-        kept_total, triples_total = kept_total + len(kept), triples_total + len(triples)
+        kept_total += len(kept)
+        triples_total += sum(1 for _, c, _ in triples if c < m)
     assert kept_total < triples_total
 
 
@@ -373,18 +375,59 @@ def _assert_span_matches(g, d, streamed):
 
 
 def test_boundary_span_matches_streamed_rows():
-    # the g = 9 cells; the g <= 8 ones are checked on the rows
+    # the g = 9 and 10 cells; the g <= 8 ones are checked on the rows
     # test_exact_rank_matches_references_on_full_boundary_matrices builds
-    for d in range(0, 16):
-        pure, decorated = map(list, boundary_rows(9, d))
-        _assert_span_matches(9, d, exact_rank(pure, decorated, _kappa_rows(9, d)))
+    for g in (9, 10):
+        for d in range(0, 2 * g - 2):
+            pure, decorated = map(list, boundary_rows(g, d))
+            _assert_span_matches(g, d, exact_rank(pure, decorated, _kappa_rows(g, d)))
+
+
+def test_support_certificate_holds_through_genus_11(monkeypatch):
+    # no cell with g <= 11 walks reduced_data: the pure set is H and every
+    # spanning row lies in its W_K, so the span reports |H| twice
+    def walked(g, d):
+        raise AssertionError("the span fell back at (%d, %d)" % (g, d))
+
+    boundary_span.cache_clear()
+    monkeypatch.setattr("soclerank.ranks.reduced_data", walked)
+    for g in range(2, 12):
+        for d in range(0, 2 * g - 2):
+            formula = housing_rank_formula(g, d)
+            assert boundary_span(g, d)[:2] == (formula, formula)
+
+
+def test_pure_set_mismatch_falls_back_with_exact_ranks(monkeypatch):
+    # with one housing partition missing from the trees' pure set the
+    # certificate fails, and the span ranks that reduced pure block, then
+    # the row of every other datum, then the kappa rows, as streaming them does
+    real = enumerate_pure_housing_partitions
+    for g, d in ((6, 6), (7, 8)):
+        for dropped in sorted(real(g, d)):
+            pure = real(g, d) - {dropped}
+            data = [tuple((m, (), ()) for m in sigma) for sigma in pure]
+            rest = [datum for datum in reduced_data(g, d) if datum not in data]
+            streamed = exact_rank(map(stratum_row, data), map(stratum_row, rest),
+                                  _kappa_rows(g, d))
+            monkeypatch.setattr("soclerank.ranks.enumerate_pure_housing_partitions",
+                                lambda g, d, pure=pure: pure)
+            boundary_span.cache_clear()
+            try:
+                assert boundary_span(g, d) == streamed
+                report = verify_housing_theorem(g, d)
+                assert report["rank_pure"] == len(pure) < report["formula"]
+                assert not report["ok"]
+            finally:
+                monkeypatch.undo()
+                boundary_span.cache_clear()
 
 
 def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
     # one decorated one-vertex row gets 1 added at (m,); the span, which
-    # builds only one-vertex rows and their products, ranks exactly what
-    # streaming the rows built from the corrupted one does, up to the first
-    # vertex whose corruption raises that rank above the pure rank
+    # falls back to every datum's row once a spanning row leaves its W_K,
+    # ranks exactly what streaming the rows built from the corrupted one
+    # does, up to the first vertex whose corruption raises that rank above
+    # the pure rank
     real = coeffs.stratum_row
     for g, d in ((6, 5), (6, 6), (7, 8)):
         rank = boundary_span(g, d)[1]
@@ -418,6 +461,17 @@ def test_boundary_span_refuses_past_the_genus_cap():
     with pytest.raises(ValueError, match="cap %d" % MAX_GENUS):
         boundary_span(MAX_GENUS + 1, MAX_GENUS)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("g, d, message", [
+    (2, 5, "degrees d = 5, r = -4 out of range for genus 2"),
+    (1, 0, "genus must be at least 2"),
+    (5, -1, "degrees d = -1, r = 8 out of range for genus 5"),
+])
+def test_boundary_span_refuses_degrees_out_of_range(g, d, message):
+    # the span checks the degree first, with the verifiers' messages
+    with pytest.raises(ValueError, match=message):
+        boundary_span(g, d)
 
 
 def test_housing_and_rank_cells_read_one_span_entry():
