@@ -21,8 +21,9 @@ from soclerank import (
 # one cell in detail: genus 5, degree 4
 g, d = 5, 4
 # the pure strata rows go into an integer echelon first; a check on the
-# supports of a spanning set of one-vertex rows shows that they span every
-# decorated stratum's row too; the kappa rows of P(2g-3-d) come last
+# supports of the one-vertex rows, one echelon per remainder, shows that
+# they span every decorated stratum's row too; the kappa rows of
+# P(2g-3-d) come last
 rank_pure, rank_full, rank_stacked = boundary_span(g, d)
 print("pure matrix rank:    ", rank_pure)
 print("full matrix rank:    ", rank_full)

@@ -167,21 +167,15 @@ def _stratum_data(gamma, kappas, psis):
     return tuple(zip(gamma, kappas, psis))
 
 
-@lru_cache(maxsize=None)
-def _expansion(targets, d):
-    _check_degree(d)  # before the row lists P(d)
-    return c_expansion(LinearForm(d, stratum_row(targets)))
-
-
 def c_coefficient(lam, gamma, kappas=None, psis=None):
     """Coefficient of the pure form at ``lam`` in a decorated stratum row.
 
     ``gamma`` lists the socle remainders of the stratum; ``kappas`` and
     ``psis`` give one decoration partition per remainder (default empty).
     """
-    lam = partition(lam)
-    constant, targets = _checked(_stratum_data(gamma, kappas, psis), sum(lam))
-    return constant * _expansion(targets, sum(lam))[lam]
+    lam, d = partition(lam), sum(lam)
+    constant, targets = _checked(_stratum_data(gamma, kappas, psis), d)
+    return constant * c_expansion(LinearForm(d, stratum_row(targets)))[lam]
 
 
 def phi_inverse_transform(form):
@@ -226,8 +220,9 @@ def eta_form(sigma, g, r):
     the one-vertex row of degree 2g-3-r carrying kappa decoration tau.
     """
     sigma, d = _check_sigma(sigma, g, r), 2 * g - 3 - r
+    _check_degree(d)  # before the rows list P(d)
     lam = partition(tuple(2 * s + 1 for s in sigma) + (1,) * (r + 1 - len(sigma)))
-    return tabulate(r, lambda tau: _expansion(((d, tau, ()),), d)[lam])
+    return tabulate(r, lambda tau: c_expansion(LinearForm(d, stratum_row(((d, tau, ()),))))[lam])
 
 
 def eta_prime_form(sigma, g, r):

@@ -5,7 +5,7 @@ indexed by P(d) in canonical order) or socle integrals of the smooth
 locus, and rank nested blocks of them over the rationals in one integer
 echelon each, reporting every number involved so a failing cell is
 diagnosable.  The full boundary rank is certified from the supports of
-a spanning set of one-vertex rows, not ranked datum by datum.
+the one-vertex rows, one echelon per remainder, not ranked datum by datum.
 """
 
 from functools import lru_cache
@@ -19,7 +19,7 @@ from .socle import complementary_degree, mu
 from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition, reduced_data
 
 # Highest genus the verifiers and the stratum listing take.  On a 2-vCPU
-# machine the (15, 14) span takes 9-15 s at 79 MB and the rank check at
+# machine the (15, 14) span takes 9-15 s at 78 MB and the rank check at
 # (15, r = 0) 1.1-1.5 s; past the cap the widths p(2g - 3) run away (p(77)
 # at g = 40).
 MAX_GENUS = 15
@@ -107,18 +107,18 @@ def boundary_span(g, d):
     rank_pure is the size of the pure set.  A datum's row is the
     ``product`` of its one-vertex rows, which is bilinear, commutative
     and associative, so product(P_a, P_b) = P_(a+b).  Every one-vertex
-    row of cost K = 1 + c lies in W_K(m): the spanning rows of cost at
-    most K span it, each is checked to lie in W_K(m), and K >= m leaves
-    nothing to check.  So a datum's row lies in the span of the P_u,
-    u = a_1 + ... + a_k with len a_i <= 1 + c_i, and u has at most
-    sum (1 + c_i) <= 2g-2-d parts; fewer make u housing.  At equality
-    every a_i has 1 + c_i parts, and the second sum of the criterion,
-    sum (lo_i - 1 + c_i) <= 2g-4-d, forces lo_i = 1, so m_i + c_i even,
-    at two vertices or more; there 1 + c_i odd parts cannot sum to m_i,
-    so u has two even parts and is housing.  Hence rank_full <= |H|,
-    and once the pure set is H the pure rows span every datum's row:
-    rank_pure = rank_full = |H|, and the kappa rows reduce against the
-    pure pivots.
+    row of cost K = 1 + c lies in W_K(m): each one-vertex row of cost
+    K < m adds no pivot to the echelon of the forms of P(m, K) (checked),
+    and K >= m leaves nothing to check.  So a datum's row lies in the
+    span of the P_u, u = a_1 + ... + a_k with len a_i <= 1 + c_i, and u
+    has at most sum (1 + c_i) <= 2g-2-d parts; fewer make u housing.
+    At equality every a_i has 1 + c_i parts, and the second sum of the
+    criterion, sum (lo_i - 1 + c_i) <= 2g-4-d, forces lo_i = 1, so
+    m_i + c_i even, at two vertices or more; there 1 + c_i odd parts
+    cannot sum to m_i, so u has two even parts and is housing.  Hence
+    rank_full <= |H|, and once the pure set is H the pure rows span
+    every datum's row: rank_pure = rank_full = |H|, and the kappa rows
+    reduce against the pure pivots.
     """
     complementary_degree(g, d)
     if g > MAX_GENUS:
@@ -133,36 +133,24 @@ def boundary_span(g, d):
 
 
 def _supported(g, d, pure):
-    # the certificate of boundary_span's proof: the pure set is H, and each
-    # spanning row of remainder m and cost K < m leaves nothing once the
-    # m_form of every a in P(m, K), a prefix of P(m), is subtracted in order
+    # the certificate of boundary_span's proof: the pure set is H, and per
+    # remainder m each one-vertex row of cost K < m adds no pivot to the
+    # echelon of the m_forms of P(m, K), a prefix of P(m) on which they are
+    # unitriangular, so they alone keep |P(m, K)| rows; cheapest cost first,
+    # each cost extends the forms already kept
     if pure != {s for s in enumerate_partitions(d) if is_housing_partition(s, g, d)}:
         return False
+    room = 2 * g - 2 - d
     for m in range(1, d + 1):
-        for row, cost in _spanning_rows(m, 2 * g - 2 - d, 2 * g - 4 - d):
-            row = list(row)
-            for i, alpha in enumerate(enumerate_partitions(m, cost)):
-                if row[i]:
-                    row = [x - row[i] * y for x, y in zip(row, m_form(alpha).values)]
-            if any(row):
+        kept, size = (), len(enumerate_partitions(m))
+        triples = sorted(_triples(m, min(room, m - 1), room - 2), key=lambda t: t[1])
+        for cost, group in groupby(triples, key=lambda t: t[1]):
+            prefix = enumerate_partitions(m, cost)
+            forms = (m_form(alpha).values for alpha in prefix[len(kept):])
+            kept = _echelon(kept, chain(forms, (stratum_row((t,)) for t, _, _ in group)), size)
+            if len(kept) > len(prefix):
                 return False
     return True
-
-
-def _spanning_rows(m, room, spare):
-    """Rows spanning the one-vertex rows of remainder m and cost below m, as (row, cost).
-
-    The rows of the triples of ``strata._triples(m, min(room, m - 1),
-    spare)`` go into one echelon, cheapest cost first, so for every K
-    the rows kept of cost at most K span exactly the one-vertex rows of
-    cost at most K.
-    """
-    kept, costs, size = (), [], len(enumerate_partitions(m))
-    triples = sorted(_triples(m, min(room, m - 1), spare), key=lambda t: t[1])
-    for cost, group in groupby(triples, key=lambda t: t[1]):
-        kept = _echelon(kept, (stratum_row((t,)) for t, _, _ in group), size)
-        costs += [cost] * (len(kept) - len(costs))
-    return [(row, cost) for (_, row), cost in zip(kept, costs)]
 
 
 def smooth_matrix(g, r, max_length=None):

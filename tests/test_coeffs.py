@@ -126,7 +126,6 @@ def test_internal_rows_skip_the_row_caps(monkeypatch):
     # kappa and eta rows come from canonical data; the caps guard the
     # outside entries v_form and c_coefficient alone
     monkeypatch.setattr(coeffs, "MAX_ROW_WORK", 0)
-    coeffs._expansion.cache_clear()
     assert verify_rank_theorem(5, 1)["ok"] and verify_span_equality(6, 1)["ok"]
     with pytest.raises(ValueError, match="row too large"):
         v_form(((2, (), ()),), 2)

@@ -241,7 +241,7 @@ def test_split_products_count_refining_maps():
 
 
 def test_product_is_commutative_and_associative():
-    # the spanning triples of ranks.boundary_span rest on this: a stratum
+    # the support certificate of ranks.boundary_span rests on this: a stratum
     # row is multilinear in its one-vertex rows, whatever their order
     rng = random.Random(21)
     for _ in range(300):

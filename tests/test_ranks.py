@@ -6,12 +6,12 @@ from math import gcd, lcm
 import pytest
 
 from soclerank import coeffs
-from soclerank.coeffs import stratum_row, v_form
+from soclerank.coeffs import m_form, stratum_row, v_form
 from soclerank.exact import fz_count, partition_count
 from soclerank.partitions import enumerate_partitions
 from soclerank.ranks import (
     MAX_GENUS,
-    _spanning_rows,
+    _supported,
     betti_report,
     boundary_span,
     eta_matrix,
@@ -41,7 +41,7 @@ def _pure_data(g, d):
 def boundary_rows(g, d):
     """Rows on P(d) of every reduced boundary generator of (g, d), in two lazy blocks.
 
-    The reference for the spanning products of ``boundary_span``: the
+    The reference for the support certificate of ``boundary_span``: the
     first block holds the pure strata, listed from the trees (none
     at d = 2g-3); the second, whose search runs only once it is
     advanced, builds the row of every other datum of ``reduced_data``.
@@ -340,23 +340,22 @@ def test_span_reads_one_vertex_rows_only(monkeypatch):
     assert decorated and all(len(data) == 1 for data in decorated)
 
 
-def test_spanning_rows_span_each_cost_prefix():
-    # what the proof of boundary_span needs of the kept rows: for every cost
-    # K below m, the rows kept of cost <= K span exactly the one-vertex rows
-    # of cost <= K; the costs come cheapest first
-    tables = {(m, 2 * g - 2 - d, 2 * g - 4 - d)
-              for g in range(2, 10) for d in range(1, 2 * g - 3) for m in range(1, d + 1)}
-    kept_total = triples_total = 0
-    for m, room, spare in sorted(tables):
-        kept, triples = _spanning_rows(m, room, spare), _triples(m, room, spare)
-        assert [c for _, c in kept] == sorted(c for _, c in kept)
-        for cost in range(1, m):
-            below = [list(row) for row, c in kept if c <= cost]
-            ones = [list(stratum_row((t,))) for t, c, _ in triples if c <= cost]
-            assert exact_rank(below + ones) == exact_rank(below) == exact_rank(ones)
-        kept_total += len(kept)
-        triples_total += sum(1 for _, c, _ in triples if c < m)
-    assert kept_total < triples_total
+def test_certificate_checks_each_row_against_its_own_cost(monkeypatch):
+    # one triple of cost K < m - 1 gets the row m_form(a) of an a with K + 1
+    # parts, which lies in W_(K+1)(m) but not in W_K(m); the certificate
+    # weighs each row against the forms of its own cost, so it fails
+    monkeypatch.setattr("soclerank.ranks.stratum_row",
+                        lambda t: swap[t] if t in swap else stratum_row(t))
+    for g, d in ((6, 6), (7, 8)):
+        swap = {}
+        pure, room = enumerate_pure_housing_partitions(g, d), 2 * g - 2 - d
+        assert _supported(g, d, pure)
+        for m in range(1, d + 1):
+            for triple, cost, _ in _triples(m, min(room, m - 1), room - 2):
+                if cost < m - 1:
+                    alpha = next(a for a in enumerate_partitions(m) if len(a) == cost + 1)
+                    swap = {(triple,): m_form(alpha).values}
+                    assert not _supported(g, d, pure), (g, d, triple, alpha)
 
 
 def _kappa_rows(g, d):
@@ -385,7 +384,7 @@ def test_boundary_span_matches_streamed_rows():
 
 def test_support_certificate_holds_through_genus_11(monkeypatch):
     # no cell with g <= 11 walks reduced_data: the pure set is H and every
-    # spanning row lies in its W_K, so the span reports |H| twice
+    # one-vertex row lies in its W_K, so the span reports |H| twice
     def walked(g, d):
         raise AssertionError("the span fell back at (%d, %d)" % (g, d))
 
@@ -424,7 +423,7 @@ def test_pure_set_mismatch_falls_back_with_exact_ranks(monkeypatch):
 
 def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
     # one decorated one-vertex row gets 1 added at (m,); the span, which
-    # falls back to every datum's row once a spanning row leaves its W_K,
+    # falls back to every datum's row once a one-vertex row leaves its W_K,
     # ranks exactly what streaming the rows built from the corrupted one
     # does, up to the first vertex whose corruption raises that rank above
     # the pure rank
