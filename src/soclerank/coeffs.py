@@ -24,7 +24,7 @@ from .partitions import (
     partition,
     unions,
 )
-from .socle import mu_dprime, shared_theta_work, theta
+from .socle import _theta, mu_dprime, shared_theta_work, theta
 
 # Highest degree ``c_expansion`` takes: m_basis(d) holds p(d) forms of p(d)
 # values.  On a 2-vCPU machine degree 21 takes 5 s, 23 took 11 s, 28 over 100 s.
@@ -101,28 +101,26 @@ def _checked(data, d):
     if work > MAX_ROW_WORK or psi_work > MAX_ROW_PSI:
         raise ValueError("row too large: thetas share work at least %d (cap %d), "
                          "psi work %d (cap %d)" % (work, MAX_ROW_WORK, psi_work, MAX_ROW_PSI))
-    return _split_vertices(triples)
-
-
-def _split_vertices(data):
     # a zero-remainder vertex only scales the row by its theta value; the
     # others stay (m, kappa, psi) triples in descending order, as within each
     # datum of ``strata.reduced_data`` (which yields the data ascending)
-    constant = prod(theta(kap, psi) for m, kap, psi in data if not m)
-    return constant, tuple(sorted((v for v in data if v[0]), reverse=True))
+    constant = prod(theta(kap, psi) for m, kap, psi in triples if not m)
+    return constant, tuple(sorted((v for v in triples if v[0]), reverse=True))
 
 
 @lru_cache(maxsize=None)
 def stratum_row(targets):
     """Unchecked row on P(d) of sorted nonzero (m, kappa, psi) triples summing to d."""
-    # one vertex pairs pi with theta(pi + kappa; psi); a refining map onto more
-    # sends a labeled sub-multiset of pi to the first vertex and the rest onto
-    # the others, their ``product``; no vertex leaves (1,)
+    # one vertex pairs pi with theta(pi + kappa; psi), read from the theta memo, as
+    # every caller passes kappa and psi canonical; a refining map onto more sends a
+    # labeled sub-multiset of pi to the first vertex and the rest onto the others,
+    # their ``product``; no vertex leaves (1,)
     if not targets:
         return (1,)
     (m, kap, psi), d = targets[0], sum(v[0] for v in targets)
     if len(targets) == 1:
-        return tuple(theta(partition(pi + kap), psi) for pi in enumerate_partitions(m))
+        return tuple(_theta(tuple(sorted(pi + kap, reverse=True)), psi)
+                     for pi in enumerate_partitions(m))
     return product(stratum_row(targets[:1]), stratum_row(targets[1:]), m, d - m)
 
 
@@ -157,24 +155,18 @@ def _check_degree(d):
         raise ValueError("degree %d exceeds the expansion cap %d" % (d, MAX_DEGREE))
 
 
-def _stratum_data(gamma, kappas, psis):
-    gamma = tuple(gamma)
-    k = len(gamma)
-    kappas = ((),) * k if kappas is None else tuple(partition(p) for p in kappas)
-    psis = ((),) * k if psis is None else tuple(partition(p) for p in psis)
-    if len(kappas) != k or len(psis) != k:
-        raise ValueError("need one decoration per gamma part")
-    return tuple(zip(gamma, kappas, psis))
-
-
 def c_coefficient(lam, gamma, kappas=None, psis=None):
     """Coefficient of the pure form at ``lam`` in a decorated stratum row.
 
     ``gamma`` lists the socle remainders of the stratum; ``kappas`` and
     ``psis`` give one decoration partition per remainder (default empty).
     """
-    lam, d = partition(lam), sum(lam)
-    constant, targets = _checked(_stratum_data(gamma, kappas, psis), d)
+    lam, d, gamma = partition(lam), sum(lam), tuple(gamma)
+    kappas = ((),) * len(gamma) if kappas is None else tuple(kappas)
+    psis = ((),) * len(gamma) if psis is None else tuple(psis)
+    if len(kappas) != len(gamma) or len(psis) != len(gamma):
+        raise ValueError("need one decoration per gamma part")
+    constant, targets = _checked(zip(gamma, kappas, psis), d)
     return constant * c_expansion(LinearForm(d, stratum_row(targets)))[lam]
 
 

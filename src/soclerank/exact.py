@@ -47,11 +47,6 @@ def comb_count(pi):
     return factorial(2 * sum(pi) + len(pi)) // math.prod(double_factorial(2 * p + 1) for p in pi)
 
 
-def _allowed_fz_part(p):
-    # excluded sizes are 5, 8, 11, ...: congruent to 2 mod 3 and at least 5
-    return not (p >= 5 and p % 3 == 2)
-
-
 def partition_count(n, sizes):
     """Partitions of n whose parts all lie in ``sizes`` (distinct positive ints).
 
@@ -62,13 +57,16 @@ def partition_count(n, sizes):
     sizes = tuple(sizes)
     if len(set(sizes)) < len(sizes) or any(type(p) is not int or p <= 0 for p in sizes):
         raise ValueError("part sizes must be distinct positive integers, got %r" % (sizes,))
-    if n < 0:
-        return 0
+    return _counts(n, sizes)[n] if n >= 0 else 0
+
+
+def _counts(n, sizes):
+    # the partitions of 0, ..., n into parts from sizes
     counts = [1] + [0] * n
     for p in sizes:
         for m in range(p, n + 1):
             counts[m] += counts[m - p]
-    return counts[n]
+    return counts
 
 
 def fz_count(n):
@@ -76,7 +74,13 @@ def fz_count(n):
 
     Zero for negative n, one for n = 0.
     """
-    return partition_count(n, filter(_allowed_fz_part, range(1, n + 1)))
+    return fz_counts(n)[n] if n >= 0 else 0
+
+
+def fz_counts(n):
+    """The list of ``fz_count`` of 0, ..., n, from one table; empty for negative n."""
+    # excluded sizes are 5, 8, 11, ...: congruent to 2 mod 3 and at least 5
+    return _counts(n, (p for p in range(1, n + 1) if p < 5 or p % 3 != 2))[:n + 1]
 
 
 def format_scalar(x):

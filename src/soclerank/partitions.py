@@ -45,11 +45,6 @@ def partition(parts):
     return t
 
 
-def _canonical_key(p):
-    # shorter partitions first, then reverse-lexicographic on parts
-    return (len(p), tuple(-x for x in p))
-
-
 @lru_cache(maxsize=None)
 def enumerate_partitions(n, max_length=None):
     """All partitions of ``n``, optionally of length <= ``max_length``.
@@ -63,7 +58,7 @@ def enumerate_partitions(n, max_length=None):
     bound = n if max_length is None else max_length
     if bound < 0:
         raise ValueError("max_length must be nonnegative")
-    return tuple(sorted(_generate(n, n, bound), key=_canonical_key))
+    return tuple(sorted(_generate(n, n, bound), key=lambda p: (len(p), tuple(-x for x in p))))
 
 
 def _generate(n, largest, length_bound):
@@ -170,17 +165,21 @@ def set_partition_totals(classes, slots, factor, caps=None):
     caps = (None,) * len(classes) if caps is None else tuple(caps)
     if len(caps) != len(classes):
         raise ValueError("need one cap per class")
-    work = set_partition_work(classes, slots)
+    kinds = _kinds(classes)
+    work = _kinds_work(kinds, slots)
     if work > MAX_WORK:
         raise ValueError("set partition sum too large: work %d exceeds %d" % (work, MAX_WORK))
-    return dict(_free(slots, factor, caps, _kinds(classes)))  # the memo keeps its own
+    return dict(_free(slots, factor, caps, kinds))  # the memo keeps its own
 
 
 def set_partition_work(classes, slots):
     """The work ``set_partition_totals`` takes on ``classes``, as ``MAX_WORK`` counts it."""
-    kinds = _kinds(classes)
-    steps = (sum(map(len, classes)) + 1) * prod(comb(count + 2, 2) for _, _, count in kinds)
-    return steps * _step_work(sum(count * slots((value,)) for _, value, count in kinds))
+    return _kinds_work(_kinds(classes), slots)
+
+
+def _kinds_work(kinds, slots):
+    steps = (sum(c for _, _, c in kinds) + 1) * prod(comb(c + 2, 2) for _, _, c in kinds)
+    return steps * _step_work(sum(c * slots((value,)) for _, value, c in kinds))
 
 
 def _step_work(a):

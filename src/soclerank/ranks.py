@@ -13,15 +13,15 @@ from itertools import chain, groupby
 from math import gcd
 
 from .coeffs import eta_form, m_form, stratum_row
-from .exact import fz_count
+from .exact import fz_counts
 from .partitions import enumerate_partitions
 from .socle import complementary_degree, mu
 from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition, reduced_data
 
 # Highest genus the verifiers and the stratum listing take.  On a 2-vCPU
-# machine the (15, 14) span takes 9-15 s at 78 MB and the rank check at
-# (15, r = 0) 1.1-1.5 s; past the cap the widths p(2g - 3) run away (p(77)
-# at g = 40).
+# machine the (15, 14) span takes 4.5-6.9 s at 71-73 MB and the rank check
+# at (15, r = 0) 1.0-1.3 s; past the cap the widths p(2g - 3) run away
+# (p(77) at g = 40).
 MAX_GENUS = 15
 # Highest genus ``betti_report`` takes.  One table of p(n, parts <= k) holds
 # its ambient ranks; on a 2-vCPU machine the report of g = 250 takes 0.02 s
@@ -61,28 +61,28 @@ def _checked(row, width):
 
 
 def _echelon(kept, rows, width):
-    # kept holds (leading column, primitive row) pairs, each row zero at the
-    # leading columns of those kept before it; a new row is reduced by them in
-    # that order, on each pivot's nonzero entries, scaled first where the lead
-    # does not divide its head; a nonzero rest is kept over its gcd, and
-    # nothing is read once width rows are kept
+    # kept holds (leading column, nonzero (j, y) entries) pairs of primitive
+    # rows, the lead the first entry, each zero at the leading columns of those
+    # kept before it; a new row is reduced by them in that order, scaled first
+    # where the lead does not divide its head; a nonzero rest is kept over its
+    # gcd, and nothing is read once width rows are kept
     kept = list(kept)
-    entries = [[(j, y) for j, y in enumerate(pivot) if y] for _, pivot in kept]
     for row in rows if len(kept) < width else ():
         row = list(row)
-        for (col, pivot), nonzero in zip(kept, entries):
-            head, lead = row[col], pivot[col]
-            if head % lead:
-                scale = lead // gcd(lead, head)
-                row, head = [scale * x for x in row], scale * head
-            quotient = head // lead
-            for j, y in nonzero if quotient else ():
-                row[j] -= quotient * y
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is not None:
-            div = gcd(*row)
-            kept.append((col, tuple(x // div for x in row)))
-            entries.append([(j, y // div) for j, y in enumerate(row) if y])
+        for col, entries in kept:
+            head = row[col]
+            if head:
+                lead = entries[0][1]
+                if head % lead:
+                    scale = lead // gcd(lead, head)
+                    row, head = [scale * x for x in row], scale * head
+                quotient = head // lead
+                for j, y in entries:
+                    row[j] -= quotient * y
+        div = gcd(*row)
+        if div:
+            entries = tuple((j, x // div) for j, x in enumerate(row) if x)
+            kept.append((entries[0][0], entries))
             if len(kept) == width:
                 break
     return tuple(kept)
@@ -244,9 +244,10 @@ def betti_report(g):
         for n in range(k, 2 * g - 2):
             counts[n] += counts[n - k]
         ambients.append(counts[2 * g - 2 - k])
+    fz = fz_counts(3 * ((g - 2) // 2) - g - 1)  # up to gamma's largest argument, at e = (g-2)//2
     for e, ambient in enumerate(reversed(ambients)):
-        d = g - 1 + e
-        gamma = fz_count(3 * min(e, g - 2 - e) - g - 1)
+        d, n = g - 1 + e, 3 * min(e, g - 2 - e) - g - 1
+        gamma = fz[n] if n >= 0 else 0
         rows.append(
             {
                 "e": e,

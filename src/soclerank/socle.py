@@ -13,7 +13,7 @@ inclusion-exclusion over merges of the kappa indices.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import comb, inf
 
 from .exact import double_factorial, factorial, multinomial
 from .partitions import merge_sign, merge_sum, partition, set_partition_totals, shared_work
@@ -85,14 +85,16 @@ def theta(sigma, tau=()):
 def _theta(sigma, tau):
     # a block with part sum s_B fills s_B + 1 slots, so k blocks fill
     # |sigma| + k; spreading those and the psi parts over |sigma| + k + |tau|
-    # gives the summand multinomial(|sigma| + |tau| + k; s_B + 1, ..., tau)
-    if sum(tau) > MAX_PSI:
-        raise ValueError("psi exponents sum to %d, above the cap %d" % (sum(tau), MAX_PSI))
+    # gives the summand multinomial(|sigma| + k; s_B + 1, ...), in the count,
+    # times C(|sigma| + k + |tau|, |tau|) * multinomial(|tau|; tau)
+    size = sum(tau)
+    if size > MAX_PSI:
+        raise ValueError("psi exponents sum to %d, above the cap %d" % (size, MAX_PSI))
     total = 0
     for (k, slots), count in set_partition_totals((sigma,), _theta_slots, _one).items():
-        term = count * multinomial(slots + sum(tau), (slots,) + tau)
+        term = count * comb(slots + size, size)
         total += term if (k + len(sigma)) % 2 == 0 else -term
-    return total
+    return total * multinomial(size, tau)
 
 
 def shared_theta_work(sigmas, cap=inf):

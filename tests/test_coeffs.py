@@ -26,6 +26,7 @@ from soclerank.partitions import (
 )
 from soclerank.ranks import verify_rank_theorem, verify_span_equality
 from soclerank.socle import mu, mu_prime, theta
+from soclerank.strata import _triples
 
 
 def test_linear_form_basics():
@@ -131,6 +132,20 @@ def test_internal_rows_skip_the_row_caps(monkeypatch):
         v_form(((2, (), ()),), 2)
     with pytest.raises(ValueError, match="row too large"):
         c_coefficient((1, 1), (2,))
+
+
+def test_one_vertex_rows_equal_the_public_theta():
+    # the one-vertex branch of stratum_row reads the theta memo on the merged,
+    # sorted pi + kappa; the public theta canonicalizes and checks its input
+    unsorted = decorated = 0
+    for m in range(1, 9):
+        for triple, _, _ in _triples(m, m - 1, 2 * m - 4):
+            _, kap, psi = triple
+            pis = enumerate_partitions(m)
+            assert coeffs.stratum_row((triple,)) == tuple(theta(pi + kap, psi) for pi in pis)
+            unsorted += any(kap and kap[0] > pi[-1] for pi in pis)
+            decorated += bool(psi)
+    assert unsorted and decorated
 
 
 def test_c_expansion_reconstructs_form():

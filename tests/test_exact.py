@@ -10,6 +10,7 @@ from soclerank.exact import (
     factorial,
     format_scalar,
     fz_count,
+    fz_counts,
     multinomial,
     partition_count,
 )
@@ -74,6 +75,7 @@ def test_fz_count():
 
 
 def test_fz_count_matches_direct_enumeration():
+    directs = []
     for n in range(0, 13):
         direct = sum(
             1
@@ -81,6 +83,10 @@ def test_fz_count_matches_direct_enumeration():
             if all(not (x >= 5 and x % 3 == 2) for x in p)
         )
         assert fz_count(n) == direct
+        directs.append(direct)
+    # the one table every betti row reads
+    assert fz_counts(12) == directs
+    assert fz_counts(0) == [1] and fz_counts(-1) == fz_counts(-5) == []
 
 
 def test_partition_count_by_length():

@@ -11,6 +11,7 @@ from soclerank.exact import fz_count, partition_count
 from soclerank.partitions import enumerate_partitions
 from soclerank.ranks import (
     MAX_GENUS,
+    _echelon,
     _supported,
     betti_report,
     boundary_span,
@@ -195,6 +196,38 @@ def test_exact_rank_stops_at_the_width():
                       _until_saturated([])) == (0, 2, 2)
     assert exact_rank(_until_saturated([[]])) == 0
     assert exact_rank(_until_saturated([[]]), [[1, 2], [Fraction(1, 2)]]) == (0, 0)
+
+
+def test_echelon_continued_in_chunks_equals_one_call():
+    # a continued echelon reads its pivots' sparse entries as it left them, so
+    # rows fed in chunks keep the pivots of one call; the first two rows have
+    # heads 6 and 4, so the second is scaled before its reduction
+    rng = random.Random(34)
+    saturated = 0
+    for _ in range(300):
+        n, m = rng.randrange(2, 10), rng.randrange(2, 6)
+        rows = [[6, 1] + [0] * (m - 2), [4] + [rng.randrange(-6, 7) for _ in range(m - 1)]]
+        rows += _random_matrix(rng, n - 2, m)
+        whole = _echelon((), rows, m)
+        assert len(whole) == _echelon_rank(rows)
+        assert all(col == entries[0][0] and all(y for _, y in entries) for col, entries in whole)
+        # the row at which one call reaches the width, if any
+        full = next((i for i in range(len(rows)) if len(_echelon((), rows[:i + 1], m)) == m), None)
+        kept, start = (), 0
+        while start < len(rows):
+            stop = start + rng.randrange(1, 4)
+            if full is None or stop <= full:
+                chunk = iter(rows[start:stop])
+            elif start <= full:
+                # a chunk reaching the width partway must not read past that row
+                chunk = _until_saturated(rows[start:full + 1])
+                saturated += stop > full + 1
+            else:
+                chunk = _until_saturated([])
+            kept = _echelon(kept, chunk, m)
+            start = stop
+        assert kept == whole
+    assert saturated
 
 
 def test_exact_rank_matches_gauss_oracle():
