@@ -4,19 +4,20 @@ Subcommands cover scalar evaluation (theta, mu), coefficient queries,
 stratum enumeration, the brute-force oracles, the verification grids,
 and the conjectural Betti report.  Each returns its rows, which ``main``
 writes through ``_emit`` as pretty (default), json or csv.  With
-``--jobs`` above 1, ``verify all`` forks workers that take its (g, d)
-pairs from one task pipe; it needs ``os.fork``, and without it
-``--jobs`` defaults to 1.  Exit codes: 0 success, 1 a verification
-report not ok, 2 a usage error, a refused input or a worker that died,
-141 (128 + SIGPIPE) a stdout closed before the last row.
+``--jobs`` N above 1, ``verify all`` forks up to N workers, worker k
+owning the (g, d) pairs k, k + N, k + 2N, ... of the grid; it needs
+``os.fork``, and without it ``--jobs`` defaults to 1.  Exit codes: 0
+success, 1 a verification report not ok, 2 a usage error, a refused
+input or a worker that died (once the parent reaches one of its
+pairs), 141 (128 + SIGPIPE) a stdout closed before the last row.
 """
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import pickle
-import selectors
 import signal
 import sys
 from fractions import Fraction
@@ -306,49 +307,45 @@ def _verify_cells(cells):
 
 
 def _forked(cells, groups, jobs):
-    """Yield each cell's row, in order, from ``jobs`` forked workers, each on its own pipe."""
-    tasks, feed = os.pipe()  # every group index, filled before the forks; a free worker takes one
-    os.write(feed, b"".join(i.to_bytes(2, "big") for i in range(len(groups))))
-    os.close(feed)
-    selector, done = selectors.DefaultSelector(), {}
+    """Yield each cell's row, in order, from ``jobs`` forked workers, each on its own pipe.
+
+    Worker k pickles the rows of its pairs, ``groups[k::jobs]``, in grid order; the
+    parent reads pair i from worker i % jobs when the first cell of pair i is due.
+    """
+    workers, done = {}, {}
     try:
-        for _ in range(jobs):
+        for k in range(jobs):
             source, out = os.pipe()
-            if (pid := os.fork()) == 0:  # a worker: exits 0 once the task pipe is empty, else 1
+            if (pid := os.fork()) == 0:  # worker k: exits 0 once its pairs are written, else 1
                 try:
-                    while index := os.read(tasks, 2):
-                        data = pickle.dumps(_verify_cells(groups[int.from_bytes(index, "big")]))
-                        os.write(out, len(data).to_bytes(8, "big") + data)  # length, then rows
+                    with open(out, "wb") as pipe:
+                        for group in groups[k::jobs]:
+                            pickle.dump(_verify_cells(group), pipe)
+                            pipe.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(out)
-            selector.register(source, selectors.EVENT_READ, (pid, bytearray()))
+            workers[pid] = open(source, "rb")
+        owners = itertools.cycle(list(workers))
         for cell in cells:
-            while cell not in done:
-                for key, _ in selector.select():
-                    pid, buffer = key.data
-                    chunk = os.read(key.fd, 1 << 16)
-                    if not chunk:  # a worker exited: reap it; a failed one ends the run
-                        selector.unregister(key.fd)
-                        os.close(key.fd)
-                        if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
-                            how = "by signal %d" % -code if code < 0 else "with status %d" % code
-                            raise ChildProcessError("worker %d ended %s" % (pid, how))
-                    buffer += chunk
-                    while len(buffer) >= 8 + (size := int.from_bytes(buffer[:8], "big")):
-                        done |= pickle.loads(buffer[8:8 + size])
-                        del buffer[:8 + size]
+            if cell not in done:  # its pair is the next one due
+                pid = next(owners)
+                try:
+                    done |= pickle.load(workers[pid])
+                except (EOFError, pickle.UnpicklingError):  # the worker died: reap it, end the run
+                    workers.pop(pid).close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = "by signal %d" % -code if code < 0 else "with status %d" % code
+                    raise ChildProcessError("worker %d ended %s" % (pid, how))
             if isinstance(row := done.pop(cell), Exception):
                 raise row
             yield row
     finally:  # on any exit: stop the workers left and reap them
-        os.close(tasks)
-        for key in list(selector.get_map().values()):
-            os.close(key.fd)
-            os.kill(key.data[0], signal.SIGTERM)
-            os.waitpid(key.data[0], 0)
-        selector.close()
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
 
 
 def _cmd_verify_all(args):

@@ -82,8 +82,8 @@ def unions(m, n):
     union that take s.
     """
     index = {p: i for i, p in enumerate(enumerate_partitions(m + n))}
-    return tuple(tuple((index[partition(s + t)], prod(comb(s.count(v) + t.count(v), s.count(v))
-                                                      for v in set(s)))
+    return tuple(tuple((index[tuple(sorted(s + t, reverse=True))],
+                        prod(comb(s.count(v) + t.count(v), s.count(v)) for v in set(s)))
                        for t in enumerate_partitions(n))
                  for s in enumerate_partitions(m))
 

@@ -16,7 +16,7 @@ from .coeffs import eta_form, m_form, stratum_row
 from .exact import fz_counts
 from .partitions import enumerate_partitions
 from .socle import complementary_degree, mu
-from .strata import _triples, enumerate_pure_housing_partitions, is_housing_partition, reduced_data
+from .strata import _houses, _triples, enumerate_pure_housing_partitions, reduced_data
 
 # Highest genus the verifiers and the stratum listing take.  On a 2-vCPU
 # machine the (15, 14) span takes 4.5-6.9 s at 71-73 MB and the rank check
@@ -138,9 +138,9 @@ def _supported(g, d, pure):
     # echelon of the m_forms of P(m, K), a prefix of P(m) on which they are
     # unitriangular, so they alone keep |P(m, K)| rows; cheapest cost first,
     # each cost extends the forms already kept
-    if pure != {s for s in enumerate_partitions(d) if is_housing_partition(s, g, d)}:
-        return False
     room = 2 * g - 2 - d
+    if pure != {s for s in enumerate_partitions(d) if _houses(s, room)}:
+        return False
     for m in range(1, d + 1):
         kept, size = (), len(enumerate_partitions(m))
         triples = sorted(_triples(m, min(room, m - 1), room - 2), key=lambda t: t[1])
@@ -168,7 +168,7 @@ def eta_matrix(g, r):
 def housing_rank_formula(g, d):
     """Predicted pairing rank: the number of housing partitions in P(d)."""
     complementary_degree(g, d)
-    return sum(1 for s in enumerate_partitions(d) if is_housing_partition(s, g, d))
+    return sum(1 for s in enumerate_partitions(d) if _houses(s, 2 * g - 2 - d))
 
 
 def verify_housing_theorem(g, d):

@@ -76,10 +76,12 @@ def is_housing_partition(sigma, g, d):
     sigma = partition(sigma)
     if sum(sigma) != d:
         raise ValueError("sigma has size %d, expected %d" % (sum(sigma), d))
-    bound = 2 * g - 2 - d
-    if len(sigma) < bound:
-        return True
-    return len(sigma) == bound and sum(1 for p in sigma if p % 2 == 0) >= 2
+    return _houses(sigma, 2 * g - 2 - d)
+
+
+def _houses(sigma, room):
+    # the housing criterion on a canonical sigma of P(d), room = 2g - 2 - d
+    return len(sigma) < room or len(sigma) == room and sum(p % 2 == 0 for p in sigma) >= 2
 
 
 def build_housing_tree(sigma, g, d):

@@ -443,7 +443,8 @@ def test_verify_all_pool_no_larger_than_grid(capsys, monkeypatch):
     assert_no_child_left()
 
 
-def test_verify_all_one_task_per_pair(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("jobs", [2, 3], ids=["two-workers", "three-workers"])
+def test_verify_all_one_task_per_pair(capsys, monkeypatch, tmp_path, jobs):
     # each worker appends its pid and the cells of every task it computes to
     # one O_APPEND file, one write per task
     log = tmp_path / "tasks"
@@ -457,8 +458,10 @@ def test_verify_all_one_task_per_pair(capsys, monkeypatch, tmp_path):
             os.close(fd)
         return verify_cells(cells)
 
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(cli, "_verify_cells", logged)
-    code, out, _ = run(capsys, ["verify", "all", "--max-g", "5", "--jobs", "2", "--format", "json"])
+    argv = ["verify", "all", "--max-g", "5", "--jobs", str(jobs), "--format", "json"]
+    code, out, _ = run(capsys, argv)
     assert code == 0
     assert_no_child_left()
     cells = [(row["check"], row["g"], row["d"], row["r"]) for row in map(json.loads, out.splitlines())]
@@ -466,17 +469,18 @@ def test_verify_all_one_task_per_pair(capsys, monkeypatch, tmp_path):
              for pid, group in map(json.loads, log.read_text().splitlines())]
     pairs = [{cell[1:3] for cell in group} for _, group in tasks]
     # each task holds the cells of one (g, d), no (g, d) is split over two
-    # tasks or computed twice, and each worker takes its tasks in grid order
+    # tasks or computed twice, and the parent computes no cell
     assert all(len(pair) == 1 for pair in pairs)
     grid = list(dict.fromkeys(cell[1:3] for cell in cells))
     assert sorted(grid.index(pair.pop()) for pair in pairs) == list(range(len(grid)))
     assert sorted(cell for _, group in tasks for cell in group) == sorted(cells)
     assert sum(len(group) == 2 for _, group in tasks) == 6  # d = g-1 .. 2g-4 for g = 3, 4, 5
-    workers = {pid for pid, _ in tasks}
-    assert os.getpid() not in workers  # the parent computes no cell
-    for worker in workers:
-        order = [grid.index(group[0][1:3]) for pid, group in tasks if pid == worker]
-        assert order == sorted(order)
+    assert len(forks) == jobs and os.getpid() not in {pid for pid, _ in tasks}
+    # worker k, the k-th forked, computes exactly the pairs grid[k::jobs], in that order
+    for k, worker in enumerate(forks):
+        assert [group[0][1:3] for pid, group in tasks if pid == worker] == grid[k::jobs]
+    if jobs == 2:  # every genus adds 2g - 2 pairs, so each worker holds one parity of d
+        assert [{d % 2 for _, d in grid[k::2]} for k in range(2)] == [{0}, {1}]
 
 
 def test_verify_all_task_error_exits_two(capsys, monkeypatch):
@@ -491,24 +495,26 @@ def test_verify_all_task_error_exits_two(capsys, monkeypatch):
     assert_no_child_left()
 
 
-def test_verify_all_dead_worker_exits_two(capsys, monkeypatch):
+@pytest.mark.parametrize("dead", [(4, 2), (4, 3)], ids=["g4-d2", "g4-d3"])
+def test_verify_all_dead_worker_exits_two(capsys, monkeypatch, dead):
     # a worker killed as the OOM killer would do ends the run: exit 2, one
-    # line, the rows before it printed, no worker left behind
+    # line, the rows before it printed, no worker left behind; with two
+    # workers, (4, 2) and (4, 3) have different owners
     parent, housing = os.getpid(), cli.verify_housing_theorem
 
-    def die_at_4_3(g, d):
-        if (g, d) == (4, 3) and os.getpid() != parent:
+    def die_at(g, d):
+        if (g, d) == dead and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return housing(g, d)
 
     _, everything, _ = run(capsys, ["verify", "all", "--max-g", "5", "--jobs", "1"])
-    monkeypatch.setattr(cli, "verify_housing_theorem", die_at_4_3)
+    monkeypatch.setattr(cli, "verify_housing_theorem", die_at)
     start = time.perf_counter()
     code, out, err = run(capsys, ["verify", "all", "--max-g", "5", "--jobs", "2"])
     assert time.perf_counter() - start < 10
     assert code == 2
     assert re.fullmatch(r"error: worker \d+ ended by signal %d\n" % signal.SIGKILL, err)
-    assert everything.startswith(out) and "g=4 d=3 " not in out
+    assert everything.startswith(out) and "g=%d d=%d " % dead not in out
     assert_no_child_left()
 
 
