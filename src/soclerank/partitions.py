@@ -90,11 +90,7 @@ def unions(m, n):
 
 def enumerate_set_partitions(indices):
     """All set partitions of the given collection, canonically sorted."""
-    return _set_partitions(tuple(sorted(indices)))
-
-
-@lru_cache(maxsize=None)
-def _set_partitions(indices):
+    indices = tuple(sorted(indices))
     if len(set(indices)) != len(indices):
         raise ValueError("set partition ground set has repeated elements")
     return tuple(_canonical_partitions(indices, {}))

@@ -5,7 +5,8 @@ indexed by P(d) in canonical order) or socle integrals of the smooth
 locus, and rank nested blocks of them over the rationals in one integer
 echelon each, reporting every number involved so a failing cell is
 diagnosable.  The full boundary rank is certified from the supports of
-the one-vertex rows, one echelon per remainder, not ranked datum by datum.
+the one-vertex rows, one echelon per remainder and room shared by every
+cell, not ranked datum by datum.
 """
 
 from functools import lru_cache
@@ -94,8 +95,8 @@ def boundary_span(g, d):
 
     Returns (rank_pure, rank_full, rank_stacked).  The rows of the pure
     strata, listed from the trees (none at d = 2g-3), go into one
-    echelon; when they fall short of the width |P(d)|, ``_supported``
-    certifies that they span the rows of all the data, and otherwise
+    echelon; below the width |P(d)|, the pure set being H and
+    ``_supported`` certify that they span every datum's row, or else
     the row of every datum of ``strata.reduced_data`` joins the echelon.
     The kappa rows pi -> theta(pi + tau) over tau in P(2g-3-d) go last.
     A degree out of range or a genus above ``MAX_GENUS`` raises ValueError.
@@ -108,17 +109,17 @@ def boundary_span(g, d):
     ``product`` of its one-vertex rows, which is bilinear, commutative
     and associative, so product(P_a, P_b) = P_(a+b).  Every one-vertex
     row of cost K = 1 + c lies in W_K(m): each one-vertex row of cost
-    K < m adds no pivot to the echelon of the forms of P(m, K) (checked),
-    and K >= m leaves nothing to check.  So a datum's row lies in the
-    span of the P_u, u = a_1 + ... + a_k with len a_i <= 1 + c_i, and u
-    has at most sum (1 + c_i) <= 2g-2-d parts; fewer make u housing.
-    At equality every a_i has 1 + c_i parts, and the second sum of the
-    criterion, sum (lo_i - 1 + c_i) <= 2g-4-d, forces lo_i = 1, so
-    m_i + c_i even, at two vertices or more; there 1 + c_i odd parts
-    cannot sum to m_i, so u has two even parts and is housing.  Hence
-    rank_full <= |H|, and once the pure set is H the pure rows span
-    every datum's row: rank_pure = rank_full = |H|, and the kappa rows
-    reduce against the pure pivots.
+    K < m adds no pivot to the echelon of the forms of P(m, K) (checked
+    once per remainder and room), and K >= m leaves nothing to check.
+    So a datum's row lies in the span of the P_u, u = a_1 + ... + a_k
+    with len a_i <= 1 + c_i, and u has at most sum (1 + c_i) <= 2g-2-d
+    parts; fewer make u housing.  At equality every a_i has 1 + c_i
+    parts, and the second sum of the criterion, sum (lo_i - 1 + c_i)
+    <= 2g-4-d, forces lo_i = 1, so m_i + c_i even, at two vertices or
+    more; there 1 + c_i odd parts cannot sum to m_i, so u has two even
+    parts and is housing.  Hence rank_full <= |H|, and once the pure set
+    is H the pure rows span every datum's row: rank_pure = rank_full =
+    |H|, and the kappa rows reduce against the pure pivots.
     """
     complementary_degree(g, d)
     if g > MAX_GENUS:
@@ -126,30 +127,29 @@ def boundary_span(g, d):
     width = len(enumerate_partitions(d))
     pure = enumerate_pure_housing_partitions(g, d) if d < 2 * g - 3 else frozenset()
     kept = _echelon((), (stratum_row(tuple((m, (), ()) for m in s)) for s in pure), width)
-    supported = len(kept) == width or _supported(g, d, pure)
+    room = 2 * g - 2 - d
+    supported = len(kept) == width or (
+        pure == {s for s in enumerate_partitions(d) if _houses(s, room)}
+        and all(_supported(m, min(room, 2 * m - 2)) for m in range(1, d + 1)))
     full = kept if supported else _echelon(kept, map(stratum_row, reduced_data(g, d)), width)
     kappa = (stratum_row(((d, tau, ()),)) for tau in enumerate_partitions(2 * g - 3 - d))
     return len(kept), len(full), len(_echelon(full, kappa, width))
 
 
-def _supported(g, d, pure):
-    # the certificate of boundary_span's proof: the pure set is H, and per
-    # remainder m each one-vertex row of cost K < m adds no pivot to the
-    # echelon of the m_forms of P(m, K), a prefix of P(m) on which they are
-    # unitriangular, so they alone keep |P(m, K)| rows; cheapest cost first,
-    # each cost extends the forms already kept
-    room = 2 * g - 2 - d
-    if pure != {s for s in enumerate_partitions(d) if _houses(s, room)}:
-        return False
-    for m in range(1, d + 1):
-        kept, size = (), len(enumerate_partitions(m))
-        triples = sorted(_triples(m, min(room, m - 1), room - 2), key=lambda t: t[1])
-        for cost, group in groupby(triples, key=lambda t: t[1]):
-            prefix = enumerate_partitions(m, cost)
-            forms = (m_form(alpha).values for alpha in prefix[len(kept):])
-            kept = _echelon(kept, chain(forms, (stratum_row((t,)) for t, _, _ in group)), size)
-            if len(kept) > len(prefix):
-                return False
+@lru_cache(maxsize=None)
+def _supported(m, room):
+    # boundary_span's vertex lemma at remainder m (room capped at 2m-2, past
+    # which no triple is added): per cost K < m, cheapest first, the rows add
+    # no pivot to the echelon of the m_forms of P(m, K), unitriangular on that
+    # prefix of P(m), so it keeps |P(m, K)| rows; each cost extends the last
+    kept, size = (), len(enumerate_partitions(m))
+    triples = sorted(_triples(m, min(room, m - 1), room - 2), key=lambda t: t[1])
+    for cost, group in groupby(triples, key=lambda t: t[1]):
+        prefix = enumerate_partitions(m, cost)
+        forms = (m_form(alpha).values for alpha in prefix[len(kept):])
+        kept = _echelon(kept, chain(forms, (stratum_row((t,)) for t, _, _ in group)), size)
+        if len(kept) > len(prefix):
+            return False
     return True
 
 

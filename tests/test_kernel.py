@@ -25,14 +25,13 @@ from soclerank.partitions import (
     automorphism_count,
     enumerate_partitions,
     enumerate_refining_functions,
-    enumerate_set_partitions,
     partition,
     set_partition_totals,
     unions,
 )
 from soclerank.socle import mu, mu_dprime, mu_prime, theta
 from soclerank.strata import enumerate_boundary_generators
-from test_partitions import merge_sum_reference
+from test_partitions import enumerate_set_partitions, merge_sum_reference
 
 
 def restrict(sigma, indices):

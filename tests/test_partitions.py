@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -11,7 +12,6 @@ from soclerank.partitions import (
     automorphism_count,
     enumerate_partitions,
     enumerate_refining_functions,
-    enumerate_set_partitions,
     merge_sign,
     merge_sum,
     partition,
@@ -19,6 +19,12 @@ from soclerank.partitions import (
     unions,
 )
 from soclerank.socle import theta
+
+
+# The package keeps no memo of its slow set partition listing; the references
+# here and in test_kernel list the same few ground sets many times, so they
+# share this one.
+enumerate_set_partitions = lru_cache(maxsize=None)(partitions.enumerate_set_partitions)
 
 
 # Slow reference: the sum over coarsenings, one term per set partition.
@@ -101,6 +107,8 @@ def test_set_partition_counts_match_bell_triangle():
             assert sorted(i for b in blocks for i in b) == list(range(n))
             assert list(blocks) == sorted(blocks) and all(list(b) == sorted(b) for b in blocks)
     assert enumerate_set_partitions((2, 0, 1)) == enumerate_set_partitions(range(3))
+    with pytest.raises(ValueError, match="repeated"):
+        partitions.enumerate_set_partitions((0, 1, 1))
 
 
 def test_merge_sum_counts():

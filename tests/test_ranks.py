@@ -359,6 +359,7 @@ def test_span_reads_one_vertex_rows_only(monkeypatch):
     # and for one-vertex rows only (the kappa rows among them); the support
     # certificate builds no product of them
     boundary_span.cache_clear()
+    _supported.cache_clear()
     calls = []
 
     def recorded(data):
@@ -376,19 +377,59 @@ def test_span_reads_one_vertex_rows_only(monkeypatch):
 def test_certificate_checks_each_row_against_its_own_cost(monkeypatch):
     # one triple of cost K < m - 1 gets the row m_form(a) of an a with K + 1
     # parts, which lies in W_(K+1)(m) but not in W_K(m); the certificate
-    # weighs each row against the forms of its own cost, so it fails
+    # weighs each row against the forms of its own cost, so it fails at m;
+    # the verdicts the swaps leave in the memo are cleared
     monkeypatch.setattr("soclerank.ranks.stratum_row",
                         lambda t: swap[t] if t in swap else stratum_row(t))
-    for g, d in ((6, 6), (7, 8)):
-        swap = {}
-        pure, room = enumerate_pure_housing_partitions(g, d), 2 * g - 2 - d
-        assert _supported(g, d, pure)
-        for m in range(1, d + 1):
-            for triple, cost, _ in _triples(m, min(room, m - 1), room - 2):
-                if cost < m - 1:
-                    alpha = next(a for a in enumerate_partitions(m) if len(a) == cost + 1)
-                    swap = {(triple,): m_form(alpha).values}
-                    assert not _supported(g, d, pure), (g, d, triple, alpha)
+    try:
+        for g, d in ((6, 6), (7, 8)):
+            room = 2 * g - 2 - d
+            for m in range(1, d + 1):
+                swap, key = {}, min(room, 2 * m - 2)
+                _supported.cache_clear()
+                assert _supported(m, key)
+                for triple, cost, _ in _triples(m, min(room, m - 1), room - 2):
+                    if cost < m - 1:
+                        alpha = next(a for a in enumerate_partitions(m) if len(a) == cost + 1)
+                        swap = {(triple,): m_form(alpha).values}
+                        _supported.cache_clear()
+                        assert not _supported(m, key), (g, d, triple, alpha)
+    finally:
+        _supported.cache_clear()
+
+
+def _key_is_exact(cap):
+    # at every remainder m and room of a cell with g <= 11, the key
+    # min(room, cap(m)) lists the triples the room itself does
+    pairs = {(m, 2 * g - 2 - d) for g in range(2, 12) for d in range(2 * g - 2)
+             for m in range(1, d + 1)}
+    return all(_triples(m, min(room, m - 1), room - 2) == _triples(m, min(key, m - 1), key - 2)
+               for m, room in sorted(pairs) for key in (min(room, cap(m)),))
+
+
+def test_support_memo_key_is_exact():
+    # the triples stop growing at room 2m-2, and not a room sooner
+    assert _key_is_exact(lambda m: 2 * m - 2)
+    assert not _key_is_exact(lambda m: 2 * m - 3)
+
+
+def test_cells_of_one_room_share_the_support_verdicts(monkeypatch):
+    # (6, 6) and (7, 8) both have room 4: after (6, 6), the certificate of
+    # (7, 8) builds the decorated one-vertex rows of remainders 7 and 8 only
+    boundary_span.cache_clear()
+    _supported.cache_clear()
+    assert boundary_span(6, 6)[:2] == (housing_rank_formula(6, 6),) * 2
+    calls = []
+
+    def recorded(data):
+        calls.append(data)
+        return stratum_row(data)
+
+    monkeypatch.setattr("soclerank.ranks.stratum_row", recorded)
+    assert boundary_span(7, 8)[:2] == (housing_rank_formula(7, 8),) * 2
+    remainders = {data[0][0] for data in calls
+                  if len(data) == 1 and (data[0][1] or data[0][2])}
+    assert remainders == {7, 8}
 
 
 def _kappa_rows(g, d):
@@ -422,6 +463,7 @@ def test_support_certificate_holds_through_genus_11(monkeypatch):
         raise AssertionError("the span fell back at (%d, %d)" % (g, d))
 
     boundary_span.cache_clear()
+    _supported.cache_clear()
     monkeypatch.setattr("soclerank.ranks.reduced_data", walked)
     for g in range(2, 12):
         for d in range(0, 2 * g - 2):
@@ -473,6 +515,7 @@ def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
             monkeypatch.setattr("soclerank.ranks.stratum_row", corrupt)
             real.cache_clear()
             boundary_span.cache_clear()
+            _supported.cache_clear()
             try:
                 streamed = exact_rank(*boundary_rows(g, d))
                 assert boundary_span(g, d)[:2] == streamed
@@ -480,6 +523,7 @@ def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
                 monkeypatch.undo()
                 real.cache_clear()
                 boundary_span.cache_clear()
+                _supported.cache_clear()
             if streamed[1] > streamed[0]:
                 assert streamed[0] == rank
                 break
