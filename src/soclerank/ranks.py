@@ -5,23 +5,23 @@ indexed by P(d) in canonical order) or socle integrals of the smooth
 locus, and rank nested blocks of them over the rationals in one integer
 echelon each, reporting every number involved so a failing cell is
 diagnosable.  The full boundary rank is certified from the supports of
-the one-vertex rows, one echelon per remainder and room shared by every
+the one-vertex rows, one echelon per remainder and cost shared by every
 cell, not ranked datum by datum.
 """
 
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain
 from math import gcd
 
 from .coeffs import eta_form, m_form, stratum_row
 from .exact import fz_counts
 from .partitions import enumerate_partitions
 from .socle import complementary_degree, mu
-from .strata import _houses, _triples, enumerate_pure_housing_partitions, reduced_data
+from .strata import _houses, enumerate_pure_housing_partitions, reduced_data
 
 # Highest genus the verifiers and the stratum listing take.  On a 2-vCPU
-# machine the (15, 14) span takes 4.5-6.9 s at 71-73 MB and the rank check
-# at (15, r = 0) 1.0-1.3 s; past the cap the widths p(2g - 3) run away
+# machine the (15, 14) span takes 3.3-3.7 s at 50 MB and the rank check
+# at (15, r = 0) 0.85-0.86 s; past the cap the widths p(2g - 3) run away
 # (p(77) at g = 40).
 MAX_GENUS = 15
 # Highest genus ``betti_report`` takes.  One table of p(n, parts <= k) holds
@@ -101,25 +101,28 @@ def boundary_span(g, d):
     The kappa rows pi -> theta(pi + tau) over tau in P(2g-3-d) go last.
     A degree out of range or a genus above ``MAX_GENUS`` raises ValueError.
 
-    Proof of the certificate.  Let P_a be the row of the pure datum a
-    and W_K(m) the span of the P_a over a in P(m) with len a <= K.
-    ``m_form`` is P_a / aut(a): 1 at a and 0 off the refinements of a,
-    which come later in canonical order, so the P_a are independent and
-    rank_pure is the size of the pure set.  A datum's row is the
-    ``product`` of its one-vertex rows, which is bilinear, commutative
-    and associative, so product(P_a, P_b) = P_(a+b).  Every one-vertex
-    row of cost K = 1 + c lies in W_K(m): each one-vertex row of cost
-    K < m adds no pivot to the echelon of the forms of P(m, K) (checked
-    once per remainder and room), and K >= m leaves nothing to check.
-    So a datum's row lies in the span of the P_u, u = a_1 + ... + a_k
-    with len a_i <= 1 + c_i, and u has at most sum (1 + c_i) <= 2g-2-d
-    parts; fewer make u housing.  At equality every a_i has 1 + c_i
-    parts, and the second sum of the criterion, sum (lo_i - 1 + c_i)
-    <= 2g-4-d, forces lo_i = 1, so m_i + c_i even, at two vertices or
-    more; there 1 + c_i odd parts cannot sum to m_i, so u has two even
-    parts and is housing.  Hence rank_full <= |H|, and once the pure set
-    is H the pure rows span every datum's row: rank_pure = rank_full =
-    |H|, and the kappa rows reduce against the pure pivots.
+    Proof of the certificate.  Let P_a be the row of the pure datum a and
+    W_K(m) the span of the P_a over a in P(m) with len a <= K.  ``m_form``
+    is P_a / aut(a): 1 at a and 0 off the refinements of a, which come later
+    in canonical order, so the P_a are independent and rank_pure is the size
+    of the pure set.  A datum's row is the ``product`` of its one-vertex
+    rows, which is bilinear, commutative and associative, so
+    product(P_a, P_b) = P_(a+b).  Every one-vertex row of cost K = 1 + c
+    lies in W_K(m): K >= m leaves nothing to check, and below it
+    ``_supported`` finds that the rows with at most one psi part add no
+    pivot to the echelon of the forms of P(m, K).  By ``socle._theta`` the
+    row of (m, kappa, psi) is multinomial(|psi|; psi) times that of
+    (m, kappa, (|psi|,)), of the same cost and the least lo of its size, so
+    listed whenever the other is; there lo = 1 + (m + c) % 2, and a cell
+    lists the whole (m, K) group exactly when K + (m + K + 1) % 2 < 2g-2-d.
+    So a datum's row lies in the span of the P_u, u = a_1 + ... + a_k with
+    len a_i <= 1 + c_i, and u has at most sum (1 + c_i) <= 2g-2-d parts;
+    fewer make u housing.  At equality every a_i has 1 + c_i parts, and the
+    second sum of the criterion, sum (lo_i - 1 + c_i) <= 2g-4-d, forces
+    lo_i = 1, so m_i + c_i even, at two vertices or more; there 1 + c_i odd
+    parts cannot sum to m_i, so u has two even parts and is housing.  Hence
+    rank_full <= |H|; once the pure set is H its rows span every datum's
+    row, rank_pure = rank_full = |H|, and the kappa rows reduce on them.
     """
     complementary_degree(g, d)
     if g > MAX_GENUS:
@@ -130,27 +133,23 @@ def boundary_span(g, d):
     room = 2 * g - 2 - d
     supported = len(kept) == width or (
         pure == {s for s in enumerate_partitions(d) if _houses(s, room)}
-        and all(_supported(m, min(room, 2 * m - 2)) for m in range(1, d + 1)))
+        and all(_supported(m, cost) for m in range(1, d + 1) for cost in range(1, m)
+                if cost + (m + cost + 1) % 2 < room))
     full = kept if supported else _echelon(kept, map(stratum_row, reduced_data(g, d)), width)
     kappa = (stratum_row(((d, tau, ()),)) for tau in enumerate_partitions(2 * g - 3 - d))
     return len(kept), len(full), len(_echelon(full, kappa, width))
 
 
 @lru_cache(maxsize=None)
-def _supported(m, room):
-    # boundary_span's vertex lemma at remainder m (room capped at 2m-2, past
-    # which no triple is added): per cost K < m, cheapest first, the rows add
-    # no pivot to the echelon of the m_forms of P(m, K), unitriangular on that
-    # prefix of P(m), so it keeps |P(m, K)| rows; each cost extends the last
-    kept, size = (), len(enumerate_partitions(m))
-    triples = sorted(_triples(m, min(room, m - 1), room - 2), key=lambda t: t[1])
-    for cost, group in groupby(triples, key=lambda t: t[1]):
-        prefix = enumerate_partitions(m, cost)
-        forms = (m_form(alpha).values for alpha in prefix[len(kept):])
-        kept = _echelon(kept, chain(forms, (stratum_row((t,)) for t, _, _ in group)), size)
-        if len(kept) > len(prefix):
-            return False
-    return True
+def _supported(m, cost):
+    # boundary_span's vertex lemma at remainder m and cost K < m, for every room:
+    # the rows with psi of at most one part add no pivot to the echelon of the
+    # m_forms of P(m, K), unitriangular on that prefix of P(m)
+    prefix = enumerate_partitions(m, cost)
+    forms = (m_form(alpha).values for alpha in prefix)
+    rows = (stratum_row(((m, kap, (cost - 1 - a,) if a < cost - 1 else ()),))
+            for a in range(cost) for kap in enumerate_partitions(a))
+    return len(_echelon((), chain(forms, rows), len(enumerate_partitions(m)))) == len(prefix)
 
 
 def smooth_matrix(g, r, max_length=None):

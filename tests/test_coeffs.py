@@ -18,7 +18,8 @@ from soclerank.coeffs import (
     v_form,
     verify_triangular_identity,
 )
-from soclerank.oracles import count_a1
+from soclerank.exact import multinomial
+from soclerank.oracles import count_a1, count_lemma_tool
 from soclerank.partitions import (
     automorphism_count,
     enumerate_partitions,
@@ -146,6 +147,28 @@ def test_one_vertex_rows_equal_the_public_theta():
             unsorted += any(kap and kap[0] > pi[-1] for pi in pis)
             decorated += bool(psi)
     assert unsorted and decorated
+
+
+def test_one_vertex_rows_read_psi_through_its_size():
+    # theta(s; psi) = multinomial(|psi|; psi) theta(s; (|psi|,)), so the
+    # support certificate reads one psi part: checked on the one-vertex rows
+    # of remainder m <= 10 and on the word counts of at most 10 symbols
+    split = 0
+    for m in range(1, 11):
+        for (_, kap, psi), _, _ in _triples(m, m - 1, 2 * m - 4):
+            one = (sum(psi),) if psi else ()
+            scale = multinomial(sum(psi), psi)
+            row = coeffs.stratum_row(((m, kap, one),))
+            assert coeffs.stratum_row(((m, kap, psi),)) == tuple(scale * x for x in row)
+            split += len(psi) > 1
+    for a in range(10):
+        for sigma in enumerate_partitions(a):
+            for b in range(1, 11 - a - len(sigma)):
+                one = count_lemma_tool(sigma, (b,))
+                for psi in enumerate_partitions(b):
+                    assert count_lemma_tool(sigma, psi) == multinomial(b, psi) * one
+                    split += len(psi) > 1
+    assert split
 
 
 def test_c_expansion_reconstructs_form():

@@ -375,42 +375,96 @@ def test_span_reads_one_vertex_rows_only(monkeypatch):
 
 
 def test_certificate_checks_each_row_against_its_own_cost(monkeypatch):
-    # one triple of cost K < m - 1 gets the row m_form(a) of an a with K + 1
-    # parts, which lies in W_(K+1)(m) but not in W_K(m); the certificate
-    # weighs each row against the forms of its own cost, so it fails at m;
-    # the verdicts the swaps leave in the memo are cleared
+    # one row of the (m, K) group, K < m - 1, gets the row m_form(a) of an a
+    # with K + 1 parts, which lies in W_(K+1)(m) but not in W_K(m); the
+    # certificate weighs each row against the forms of its own cost, so it
+    # fails at (m, K); the verdicts the swaps leave in the memo are cleared
     monkeypatch.setattr("soclerank.ranks.stratum_row",
                         lambda t: swap[t] if t in swap else stratum_row(t))
     try:
         for g, d in ((6, 6), (7, 8)):
             room = 2 * g - 2 - d
             for m in range(1, d + 1):
-                swap, key = {}, min(room, 2 * m - 2)
+                triples, swap = _triples(m, min(room, m - 1), room - 2), {}
                 _supported.cache_clear()
-                assert _supported(m, key)
-                for triple, cost, _ in _triples(m, min(room, m - 1), room - 2):
-                    if cost < m - 1:
+                assert all(_supported(m, cost) for _, cost, _ in triples)
+                for triple, cost, _ in triples:
+                    if cost < m - 1 and len(triple[2]) <= 1:
                         alpha = next(a for a in enumerate_partitions(m) if len(a) == cost + 1)
                         swap = {(triple,): m_form(alpha).values}
                         _supported.cache_clear()
-                        assert not _supported(m, key), (g, d, triple, alpha)
+                        assert not _supported(m, cost), (g, d, triple, alpha)
     finally:
         _supported.cache_clear()
 
 
-def _key_is_exact(cap):
-    # at every remainder m and room of a cell with g <= 11, the key
-    # min(room, cap(m)) lists the triples the room itself does
-    pairs = {(m, 2 * g - 2 - d) for g in range(2, 12) for d in range(2 * g - 2)
-             for m in range(1, d + 1)}
-    return all(_triples(m, min(room, m - 1), room - 2) == _triples(m, min(key, m - 1), key - 2)
-               for m, room in sorted(pairs) for key in (min(room, cap(m)),))
+def _asked_groups(g, d, monkeypatch):
+    # the (m, K) groups the certificate of (g, d) asks for, each verdict
+    # answered True and the span memo left as it was
+    asked = set()
+
+    def recorded(m, cost):
+        asked.add((m, cost))
+        return True
+
+    monkeypatch.setattr("soclerank.ranks._supported", recorded)
+    boundary_span.__wrapped__(g, d)
+    monkeypatch.undo()
+    return asked
 
 
-def test_support_memo_key_is_exact():
-    # the triples stop growing at room 2m-2, and not a room sooner
-    assert _key_is_exact(lambda m: 2 * m - 2)
-    assert not _key_is_exact(lambda m: 2 * m - 3)
+def _lists_the_psi_quotient(listed):
+    # at every remainder m of every certifying cell with g <= 11, the triples
+    # of the (m, K) groups listed(g, d) names are those of the room, each
+    # psi replaced by (|psi|,)
+    for g in range(2, 12):
+        for d in range(g - 1, 2 * g - 2):
+            room, groups = 2 * g - 2 - d, listed(g, d)
+            for m in range(1, d + 1):
+                rows = {(kap, (cost - 1 - a,) if a < cost - 1 else ())
+                        for n, cost in groups if n == m
+                        for a in range(cost) for kap in enumerate_partitions(a)}
+                quotient = {(kap, (sum(psi),) if psi else ())
+                            for (_, kap, psi), _, _ in _triples(m, min(room, m - 1), room - 2)}
+                if rows != quotient:
+                    return False
+    return True
+
+
+def test_support_groups_list_the_psi_quotient(monkeypatch):
+    # the groups a cell asks for hold exactly the psi quotient of its triples;
+    # without the parity of m + K they do not
+    assert _lists_the_psi_quotient(lambda g, d: _asked_groups(g, d, monkeypatch))
+    assert not _lists_the_psi_quotient(
+        lambda g, d: {(m, cost) for m in range(1, d + 1) for cost in range(1, m)
+                      if cost < 2 * g - 2 - d})
+
+
+def _decorated_rows(g, d, monkeypatch):
+    # the decorated one-vertex rows the span of (g, d) asks stratum_row for
+    calls = []
+
+    def recorded(data):
+        calls.append(data)
+        return stratum_row(data)
+
+    monkeypatch.setattr("soclerank.ranks.stratum_row", recorded)
+    assert boundary_span(g, d)[:2] == (housing_rank_formula(g, d),) * 2
+    monkeypatch.undo()
+    return {data[0] for data in calls if len(data) == 1 and (data[0][1] or data[0][2])}
+
+
+def test_certificate_reads_one_psi_part_and_shares_it_across_rooms(monkeypatch):
+    # room 6 of (8, 8) lists triples with two psi parts, but the certificate
+    # builds rows of at most one; (7, 8), of room 4, then finds every group
+    # it asks for in the memo and builds only its kappa rows (8, tau, ())
+    boundary_span.cache_clear()
+    _supported.cache_clear()
+    assert (6, (), (2, 1)) in {t for t, _, _ in _triples(6, 5, 4)}
+    rows = _decorated_rows(8, 8, monkeypatch)
+    assert rows and all(len(psi) <= 1 for _, _, psi in rows)
+    kappa = {(8, tau, ()) for tau in enumerate_partitions(2 * 7 - 3 - 8)}
+    assert _decorated_rows(7, 8, monkeypatch) == kappa
 
 
 def test_cells_of_one_room_share_the_support_verdicts(monkeypatch):
@@ -419,17 +473,7 @@ def test_cells_of_one_room_share_the_support_verdicts(monkeypatch):
     boundary_span.cache_clear()
     _supported.cache_clear()
     assert boundary_span(6, 6)[:2] == (housing_rank_formula(6, 6),) * 2
-    calls = []
-
-    def recorded(data):
-        calls.append(data)
-        return stratum_row(data)
-
-    monkeypatch.setattr("soclerank.ranks.stratum_row", recorded)
-    assert boundary_span(7, 8)[:2] == (housing_rank_formula(7, 8),) * 2
-    remainders = {data[0][0] for data in calls
-                  if len(data) == 1 and (data[0][1] or data[0][2])}
-    assert remainders == {7, 8}
+    assert {m for m, _, _ in _decorated_rows(7, 8, monkeypatch)} == {7, 8}
 
 
 def _kappa_rows(g, d):
@@ -529,6 +573,34 @@ def test_corrupted_vertex_row_is_flagged_and_raises_the_rank(monkeypatch):
                 break
         else:
             raise AssertionError("no corrupted vertex row raised the rank at (%d, %d)" % (g, d))
+
+
+def test_corrupted_representative_row_fails_the_certificate(monkeypatch):
+    # room 6 of (8, 8) lists (6, (), (2, 1)), whose row the certificate reads
+    # as a multiple of that of (6, (), (3,)), of cost 4; that row, with 1
+    # added at (6,), fails the (6, 4) group, and the span ranks what
+    # streaming the rows built from it does, one above the pure rank
+    real, bad = coeffs.stratum_row, (6, (), (3,))
+
+    def corrupt(targets):
+        row = real(targets)
+        return (row[0] + 1,) + row[1:] if targets == (bad,) else row
+
+    monkeypatch.setattr(coeffs, "stratum_row", corrupt)
+    monkeypatch.setattr("soclerank.ranks.stratum_row", corrupt)
+    real.cache_clear()
+    boundary_span.cache_clear()
+    _supported.cache_clear()
+    try:
+        assert not _supported(6, 4)
+        streamed = exact_rank(*boundary_rows(8, 8))
+        assert boundary_span(8, 8)[:2] == streamed
+        assert streamed[1] > streamed[0] == housing_rank_formula(8, 8)
+    finally:
+        monkeypatch.undo()
+        real.cache_clear()
+        boundary_span.cache_clear()
+        _supported.cache_clear()
 
 
 def test_boundary_span_refuses_past_the_genus_cap():
